@@ -12,6 +12,7 @@ to the callers' checkers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .subspace import (
     Subspace,
     intersection_dims_with_scaled,
     power,
+    product,
     scale,
     span,
     subfield_space,
@@ -122,17 +124,6 @@ def is_qm1_power(ctx: FieldCtx, x: FieldElement, k: int) -> bool:
     return (ctx.pow_elem(x.vec, e) == ctx.one_vec).all()
 
 
-def _measure_chain_dims(V: Subspace, r_max: int) -> list[int]:
-    dims = [V.dim]
-    cur = V
-    for _ in range(2, r_max + 1):
-        from .subspace import product
-
-        cur = product(cur, V)
-        dims.append(cur.dim)
-    return dims
-
-
 def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> ConstructionRecord:
     """Graph space of x -> x^(q^s) over F_{q^k} inside F_{q^(kt)}.
 
@@ -178,7 +169,8 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
     def expected_dim(rr: int) -> int:
         return rr * k if k >= 3 else math.comb(k + rr - 1, rr)
 
-    dims = _measure_chain_dims(V, min(r, t - 1)) if t >= 3 else [V.dim]
+    levels = itertools.accumulate([V] * min(r, t - 1), product) if t >= 3 else [V]
+    dims = [W.dim for W in levels]
     for rr, d in enumerate(dims[1:], start=2):
         if d != expected_dim(rr):
             raise ConstructionError(f"dim V^{rr} = {d}, expected {expected_dim(rr)}")
@@ -494,8 +486,6 @@ def maxspan_from_irreducibles(
 
 def _multisets(k: int, r: int):
     """Size-r multisets over {1..k} in lexicographic order, as tuples."""
-    import itertools
-
     return itertools.combinations_with_replacement(range(1, k + 1), r)
 
 
@@ -531,8 +521,7 @@ def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:
         coeff_rank = rank(np.array(rows, dtype=np.int64), scal.p)
     else:
         sb = SpanBuilder(scal.p, width * scal.dim)
-        scalars = scal.subfield_elements(1)
-        scalars = scalars[scalars.any(axis=1)]
+        scalars = scal.subfield_elements(1)[1:]
         for row in rows:
             mat = row.reshape(width, scal.dim)
             for sc in scalars:

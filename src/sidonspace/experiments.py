@@ -131,29 +131,6 @@ def _overall_verdict(rows: list[dict]) -> str:
     return "match"
 
 
-def _batch_pow(ctx, X: np.ndarray, e: int) -> np.ndarray:
-    """Row-wise x^e by square-and-multiply."""
-    acc = np.broadcast_to(ctx.one_vec, X.shape).copy()
-    base = X.copy()
-    while e:
-        if e & 1:
-            acc = ctx.mul_many(acc, base)
-        e >>= 1
-        if e:
-            base = ctx.mul_many(base, base)
-    return acc
-
-
-def _subfield_elements(ctx, m: int, *, include_zero: bool = False) -> np.ndarray:
-    """All elements of F_{q^m} as rows, in base-p counting order."""
-    B = ctx.subfield_fp_basis(m)
-    rows = B.shape[0]
-    count = ctx.p**rows
-    digits = (np.arange(count)[:, None] // ctx.p ** np.arange(rows)[None, :]) % ctx.p
-    vecs = digits @ B % ctx.p
-    return vecs if include_zero else vecs[1:]
-
-
 def _graph_table(
     spec: ExperimentSpec,
     *,
@@ -192,9 +169,9 @@ def _graph_table(
         R1 = ctx.mul_many(ctx.frob_q(B, s % k), g_bc)
         R2 = ctx.mul_many(ctx.frob_q(B, e2), g_bc)
 
-        deltas = _subfield_elements(ctx, k)
+        deltas = ctx.subfield_elements(k)[1:]
         if norm_filter_even_k and k % 2 == 0:
-            norms = _batch_pow(ctx, deltas, (q**k - 1) // (q - 1))
+            norms = ctx.pow_many(deltas, (q**k - 1) // (q - 1))
             deltas = deltas[~(norms == ctx.one_vec).all(axis=1)]
 
         dims_seen: Counter[int] = Counter()
@@ -287,7 +264,7 @@ def _square_graph_sweep(ctx, k: int, collect: bool, audits: list[dict], scope: s
 
 
 def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
-    gammas = _subfield_elements(ctx, ctx.n, include_zero=True)
+    gammas = ctx.subfield_elements(ctx.n)
     keep = ~np.asarray(ctx.in_subfield(gammas, k))
     gammas = gammas[keep]
     two = three = 0
@@ -465,7 +442,7 @@ def run_brset_316(spec: ExperimentSpec) -> ExperimentReport:
     """
     collect = bool(spec.params.get("collect_audits"))
     q, k, s, t, r = 3, 4, 1, 4, 3
-    ctx = make_field(q, 1, k * t)
+    ctx = make_field(q, 1, k * t, seed=spec.seed)
     gamma = find_generator(ctx, over_m=k, primitive=True, seed=spec.seed)
     rec = binomial_family(q, k, s, t, variant="end", gamma=gamma, seed=spec.seed)
     V = rec.space

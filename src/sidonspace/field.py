@@ -21,20 +21,31 @@ from sympy import divisors, factorint, isprime
 
 from . import gfpoly
 from .errors import ConstructionError, NoSuchElementError
-from .linalg import SpanBuilder, inverse_table, right_nullspace
+from .linalg import inverse_table, right_nullspace, rref
 
 _CTX_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
+
+#: Exclusive upper bound on the characteristic. Below it the inverse table
+#: (p int64 entries) stays small, and the int64 sums in ``mul_many`` (at most
+#: dim * (p-1)^2 before reduction) cannot overflow for any dim below 2^31.
+MAX_P = 1 << 16
+
+
+def _check_params(p: int, a: int, n: int) -> None:
+    if p >= MAX_P:
+        raise ValueError(f"p must be below {MAX_P}, got {p}")
+    if not isprime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if a < 1 or n < 1:
+        raise ValueError("a and n must be positive")
 
 
 class FieldCtx:
     """Arithmetic context for F_{q^n}, q = p^a, inside F_p[x]/(modulus)."""
 
     def __init__(self, p: int, a: int, n: int, modulus: np.ndarray, seed: int = 0):
-        if not isprime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if a < 1 or n < 1:
-            raise ValueError("a and n must be positive")
+        _check_params(p, a, n)
         self.p = int(p)
         self.a = int(a)
         self.n = int(n)
@@ -183,9 +194,6 @@ class FieldCtx:
         out[: len(s1)] = s1
         return (out * c) % p
 
-    def inv_many(self, U: np.ndarray) -> np.ndarray:
-        return np.array([self.inv(u) for u in np.atleast_2d(U)], dtype=np.int64)
-
     def pow_elem(self, u: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             return self.pow_elem(self.inv(u), -e)
@@ -207,8 +215,9 @@ class FieldCtx:
         while e:
             if e & 1:
                 result = self.mul_many(result, base)
-            base = self.mul_many(base, base)
             e >>= 1
+            if e:
+                base = self.mul_many(base, base)
         return result
 
     # -- Frobenius and subfields ---------------------------------------------------
@@ -251,22 +260,28 @@ class FieldCtx:
             M = self._pow_mat((self.a * m) % self.dim)
             A = (M - np.eye(self.dim, dtype=np.int64)) % self.p
             basis = right_nullspace(A.T, self.p)  # rows u with u @ M == u
-            sb = SpanBuilder(self.p, self.dim)
-            sb.insert_many(basis)
-            out = sb.basis
+            out = rref(basis, self.p)[0]
             assert out.shape[0] == self.a * m, "subfield dimension mismatch"
             out.setflags(write=False)
             self._subfield_basis[m] = out
         return self._subfield_basis[m]
 
+    def combinations(self, basis: np.ndarray) -> np.ndarray:
+        """All F_p-combinations of the rows of ``basis``, in base-p counting order.
+
+        Row i is sum_j d_j * basis[j], where d_j is digit j of i in base p:
+        basis row 0 is the fastest digit and the zero combination comes
+        first. Desk-scale only (at most 2^22 combinations).
+        """
+        p, k = self.p, basis.shape[0]
+        if p**k > 1 << 22:
+            raise ValueError(f"{p}^{k} combinations are too many to enumerate")
+        digits = np.arange(p**k)[:, None] // p ** np.arange(k) % p
+        return digits @ basis % p
+
     def subfield_elements(self, m: int) -> np.ndarray:
-        """All q^m elements of F_{q^m} as rows (desk-scale only)."""
-        basis = self.subfield_fp_basis(m)
-        k = basis.shape[0]
-        if self.p**k > 1 << 22:
-            raise ValueError("subfield too large to enumerate")
-        digits = np.indices((self.p,) * k).reshape(k, -1).T
-        return digits @ basis % self.p
+        """All q^m elements of F_{q^m} as rows, in :meth:`combinations` order."""
+        return self.combinations(self.subfield_fp_basis(m))
 
     def subfield_generator(self, m: int) -> np.ndarray:
         """A deterministic element with F_q(xi) = F_{q^m}."""
@@ -313,8 +328,7 @@ class FieldCtx:
             lead = U[np.arange(U.shape[0]), first]
             lead = np.where(nz.any(axis=1), lead, 1)
             return (U * self._inv_table[lead][:, None]) % self.p
-        scalars = self.subfield_elements(1)
-        scalars = scalars[scalars.any(axis=1)]
+        scalars = self.subfield_elements(1)[1:]
         out = np.empty_like(U)
         for i, u in enumerate(U):
             orbit = self.mul_many(np.broadcast_to(u, (scalars.shape[0], self.dim)), scalars)
@@ -491,10 +505,7 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
     is found by seeded random search, so the same (p, a, n, seed) always
     yields the same field representation.
     """
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if a < 1 or n < 1:
-        raise ValueError("a and n must be positive")
+    _check_params(p, a, n)
     if modulus is not None:
         mod = np.asarray(modulus, dtype=np.int64)
         key = (p, a, n, mod.tobytes(), seed)
@@ -669,7 +680,7 @@ def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> l
         if take == 0:
             continue
         if take == avail and q**d <= 4096:
-            batch = _enumerate_irreducibles(scal, q, d)
+            batch = _enumerate_irreducibles(scal, d)
             order = rng.permutation(len(batch))
             got = [batch[i] for i in order]
         else:
@@ -693,17 +704,10 @@ def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> l
     return found
 
 
-def _enumerate_irreducibles(scal: FieldCtx, q: int, d: int) -> list[gfpoly.Poly]:
-    p = scal.p
+def _enumerate_irreducibles(scal: FieldCtx, d: int) -> list[gfpoly.Poly]:
     out = []
-    for idx in range(q**d):
-        digits = []
-        t = idx
-        for _ in range(d * scal.dim):
-            digits.append(t % p)
-            t //= p
-        c = np.array(digits, dtype=np.int64).reshape(d, scal.dim)
-        c = np.vstack([c, scal.one_vec[None, :]])
+    for low in scal.combinations(np.eye(d * scal.dim, dtype=np.int64)):
+        c = np.vstack([low.reshape(d, scal.dim), scal.one_vec[None, :]])
         if gfpoly.is_irreducible(scal, c):
             out.append(gfpoly.Poly(scal, c))
     return out

@@ -107,26 +107,18 @@ class SpanBuilder:
         self._rows.insert(pos, v)
         self._pivots.insert(pos, j)
 
-    def insert_many(self, rows: np.ndarray, stop_rank: int | None = None) -> int:
-        """Insert a batch of rows; returns the number of rank increases.
+    def insert_many(self, rows: np.ndarray) -> int:
+        """Insert a batch of (m x ncols) rows; returns the number of rank increases.
 
         Reduction of the batch is done once against the existing basis and
         then maintained with rank-1 updates per insertion, so the cost is
         O(batch * ncols) per new pivot rather than per row.
-
-        Args:
-            rows: (m x ncols) array.
-            stop_rank: Stop early once the rank reaches this value (the span
-                cannot grow past ``ncols``, so ``ncols`` is a useful cap).
         """
         R = self.reduce(rows)
         added = 0
-        inv = self._inv
         p = self.p
         live = R[R.any(axis=1)]
         while live.size:
-            if stop_rank is not None and self.rank >= stop_rank:
-                break
             v = live[0]
             j = _first_nonzero(v)
             self._insert_reduced(v, j)
@@ -140,12 +132,6 @@ class SpanBuilder:
             live = rest[rest.any(axis=1)]
         return added
 
-    def copy(self) -> "SpanBuilder":
-        out = SpanBuilder(self.p, self.ncols)
-        out._rows = [row.copy() for row in self._rows]
-        out._pivots = list(self._pivots)
-        return out
-
 
 def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``A`` over F_p.
@@ -154,15 +140,14 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         (R, pivots): canonical RREF basis of the row space and its pivot
         column indices.
     """
-    sb = SpanBuilder(p, A.shape[1] if A.ndim == 2 else len(A))
-    sb.insert_many(np.atleast_2d(A))
+    A = np.atleast_2d(A)
+    sb = SpanBuilder(p, A.shape[1])
+    sb.insert_many(A)
     return sb.basis, sb.pivots
 
 
 def rank(A: np.ndarray, p: int) -> int:
-    sb = SpanBuilder(p, np.atleast_2d(A).shape[1])
-    sb.insert_many(np.atleast_2d(A))
-    return sb.rank
+    return len(rref(A, p)[1])
 
 
 def right_nullspace(A: np.ndarray, p: int) -> np.ndarray:

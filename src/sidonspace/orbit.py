@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import _as_subfield_element
 from .errors import BudgetError, ConstructionError
 from .field import FieldElement
-from .linalg import rank
+from .linalg import rref
 from .qpoly import LinearizedPoly, v_f_gamma
 from .sidon import is_r_sidon
 from .subspace import (
@@ -172,15 +173,6 @@ def semilinear_equivalent(
     return None
 
 
-def _entry(ctx, k: int, value, what: str) -> FieldElement:
-    el = value if isinstance(value, FieldElement) else ctx.element(value)
-    if el.ctx != ctx:
-        el = ctx.element(el.coeffs)
-    if not ctx.in_subfield(el.vec, k):
-        raise ConstructionError(f"{what} must lie in F_(q^{k})")
-    return el
-
-
 def verify_glk2_certificate(
     f: LinearizedPoly,
     g: LinearizedPoly,
@@ -207,10 +199,10 @@ def verify_glk2_certificate(
         raise ValueError("f and g must act on the same subfield of the same field")
     k = f.k
     (c, d), (a, b) = A
-    a = _entry(ctx, k, a, "a")
-    b = _entry(ctx, k, b, "b")
-    c = _entry(ctx, k, c, "c")
-    d = _entry(ctx, k, d, "d")
+    a = _as_subfield_element(ctx, k, a, "a")
+    b = _as_subfield_element(ctx, k, b, "b")
+    c = _as_subfield_element(ctx, k, c, "c")
+    d = _as_subfield_element(ctx, k, d, "d")
     det = a * d - b * c
     if det.is_zero():
         raise ConstructionError("certificate matrix is singular")
@@ -238,7 +230,7 @@ def verify_glk2_certificate(
     WA_right = (ctx.mul_many(B, np.broadcast_to(d.vec, B.shape))
                 + ctx.mul_many(gB, np.broadcast_to(b.vec, gB.shape))) % ctx.p
     WA = np.hstack([WA_left, WA_right])
-    pairs_eq = _same_rowspace(ctx.p, Us, WA)
+    pairs_eq = np.array_equal(rref(Us, ctx.p)[0], rref(WA, ctx.p)[0])
     cond_pairs = bool(pairs_eq and xi == xi_formula)
 
     # independent subspace-level check
@@ -253,11 +245,3 @@ def verify_glk2_certificate(
             f"({cond_spaces}) disagree"
         )
     return cond_pairs
-
-
-def _same_rowspace(p: int, A: np.ndarray, B: np.ndarray) -> bool:
-    ra = rank(A, p)
-    rb = rank(B, p)
-    if ra != rb:
-        return False
-    return rank(np.vstack([A, B]), p) == ra

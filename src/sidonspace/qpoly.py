@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import NoSuchElementError
 from .field import FieldCtx, FieldElement
-from .linalg import SpanBuilder
 from .subspace import Subspace, span, subfield_space
 
 
@@ -198,9 +197,7 @@ def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:
     B = ctx.subfield_fp_basis(f.k)
     img = f.evaluate_many(B)
     rows = (B + ctx.mul_many(img, np.broadcast_to(gamma.vec, img.shape))) % ctx.p
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(rows)
-    return Subspace(ctx, None, _sb=sb)
+    return Subspace(ctx, rows)
 
 
 def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:

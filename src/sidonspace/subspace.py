@@ -22,6 +22,8 @@ from .linalg import SpanBuilder, batch_rank, left_nullspace
 def _as_rows(ctx: FieldCtx, gens) -> np.ndarray:
     """Coerce field elements / coefficient rows to an (N x dim) int array."""
     if isinstance(gens, np.ndarray) and gens.ndim == 2:
+        if gens.shape[1] != ctx.dim:
+            raise ValueError(f"coefficient rows of length {gens.shape[1]}, expected {ctx.dim}")
         return gens % ctx.p
     rows = []
     for g in gens:
@@ -48,14 +50,10 @@ class Subspace:
 
     __slots__ = ("ctx", "_sb")
 
-    def __init__(self, ctx: FieldCtx, rows: np.ndarray, *, _sb: SpanBuilder | None = None):
+    def __init__(self, ctx: FieldCtx, rows):
         self.ctx = ctx
-        if _sb is not None:
-            self._sb = _sb
-        else:
-            sb = SpanBuilder(ctx.p, ctx.dim)
-            sb.insert_many(_as_rows(ctx, rows))
-            self._sb = sb
+        self._sb = SpanBuilder(ctx.p, ctx.dim)
+        self._sb.insert_many(_as_rows(ctx, rows))
         if ctx.a > 1:
             xi = ctx.subfield_generator(1)
             scaled = ctx.mul_many(self.basis, np.broadcast_to(xi, self.basis.shape))
@@ -104,19 +102,12 @@ class Subspace:
     # -- element / point enumeration (desk scale) --------------------------------
 
     def elements(self) -> np.ndarray:
-        """All q^k elements as rows. Guarded against large spaces."""
-        r = self.fp_dim
-        if self.ctx.p**r > 1 << 22:
-            raise ValueError("space too large to enumerate")
-        digits = np.indices((self.ctx.p,) * r).reshape(r, -1).T
-        return digits @ self.basis % self.ctx.p
+        """All q^k elements as rows, zero first (see FieldCtx.combinations)."""
+        return self.ctx.combinations(self.basis)
 
     def projective_points(self) -> np.ndarray:
         """Canonical representatives of the (q^k-1)/(q-1) projective points."""
-        els = self.elements()
-        els = els[els.any(axis=1)]
-        can = self.ctx.proj_canon(els)
-        return np.unique(can, axis=0)
+        return np.unique(self.ctx.proj_canon(self.elements()[1:]), axis=0)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -152,34 +143,24 @@ def span(ctx: FieldCtx, gens) -> Subspace:
     """F_q-span of the given elements (or F_p coefficient rows)."""
     rows = _as_rows(ctx, gens)
     if ctx.a > 1 and rows.shape[0]:
-        scalars = ctx.subfield_elements(1)
-        scalars = scalars[scalars.any(axis=1)]
-        closed = [ctx.mul_many(np.broadcast_to(s, rows.shape), rows) for s in scalars]
-        rows = np.vstack(closed)
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(rows)
-    return Subspace(ctx, rows, _sb=sb)
+        scalars = ctx.subfield_elements(1)[1:]
+        rows = np.vstack([ctx.mul_many(np.broadcast_to(s, rows.shape), rows) for s in scalars])
+    return Subspace(ctx, rows)
 
 
 def full_space(ctx: FieldCtx) -> Subspace:
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(np.eye(ctx.dim, dtype=np.int64))
-    return Subspace(ctx, None, _sb=sb)
+    return Subspace(ctx, np.eye(ctx.dim, dtype=np.int64))
 
 
 def subfield_space(ctx: FieldCtx, m: int) -> Subspace:
     """The subfield F_{q^m} viewed as an F_q-subspace."""
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(ctx.subfield_fp_basis(m))
-    return Subspace(ctx, None, _sb=sb)
+    return Subspace(ctx, ctx.subfield_fp_basis(m))
 
 
 def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
     if U.ctx != V.ctx:
         raise ValueError("subspaces live in different fields")
-    sb = U._sb.copy()
-    sb.insert_many(V.basis)
-    return Subspace(U.ctx, None, _sb=sb)
+    return Subspace(U.ctx, np.vstack([U.basis, V.basis]))
 
 
 def intersect(U: Subspace, V: Subspace) -> Subspace:
@@ -193,9 +174,7 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     null = left_nullspace(A, ctx.p)
     ru = U.fp_dim
     rows = null[:, :ru] @ U.basis % ctx.p if null.shape[0] else np.zeros((0, ctx.dim), dtype=np.int64)
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(rows)
-    return Subspace(ctx, None, _sb=sb)
+    return Subspace(ctx, rows)
 
 
 def scale(V: Subspace, alpha: FieldElement) -> Subspace:
@@ -204,18 +183,13 @@ def scale(V: Subspace, alpha: FieldElement) -> Subspace:
         raise ValueError("scalar from a different field")
     if alpha.is_zero():
         raise ValueError("scaling by zero collapses the space")
-    rows = V.ctx.mul_many(V.basis, np.broadcast_to(alpha.vec, V.basis.shape))
-    sb = SpanBuilder(V.ctx.p, V.ctx.dim)
-    sb.insert_many(rows)
-    return Subspace(V.ctx, None, _sb=sb)
+    return Subspace(V.ctx, V.ctx.mul_many(V.basis, np.broadcast_to(alpha.vec, V.basis.shape)))
 
 
 def frob_image(V: Subspace, j: int = 1, *, p_power: bool = False) -> Subspace:
     """Image of V under x -> x^(q^j) (or x -> x^(p^j) with p_power=True)."""
     rows = V.ctx.frob_p(V.basis, j) if p_power else V.ctx.frob_q(V.basis, j)
-    sb = SpanBuilder(V.ctx.p, V.ctx.dim)
-    sb.insert_many(rows)
-    return Subspace(V.ctx, None, _sb=sb)
+    return Subspace(V.ctx, rows)
 
 
 def product(U: Subspace, V: Subspace) -> Subspace:
@@ -228,10 +202,7 @@ def product(U: Subspace, V: Subspace) -> Subspace:
         return span(ctx, [])
     left = np.repeat(BU, BV.shape[0], axis=0)
     right = np.tile(BV, (BU.shape[0], 1))
-    rows = ctx.mul_many(left, right)
-    sb = SpanBuilder(ctx.p, ctx.dim)
-    sb.insert_many(rows, stop_rank=ctx.dim)
-    return Subspace(ctx, None, _sb=sb)
+    return Subspace(ctx, ctx.mul_many(left, right))
 
 
 def power(V: Subspace, r: int) -> Subspace:
@@ -394,9 +365,7 @@ def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray
                 block[:, i + 1 :] = np.indices((p,) * tail).reshape(tail, -1).T
             blocks.append(block)
         return np.vstack(blocks)
-    els = full_space(ctx).elements()
-    els = els[els.any(axis=1)]
-    return np.unique(ctx.proj_canon(els), axis=0)
+    return full_space(ctx).projective_points()
 
 
 def intersection_dims_with_scaled(V: Subspace, alphas: np.ndarray) -> np.ndarray:

@@ -246,6 +246,20 @@ def test_malformed_subspace_file(capsys, tmp_path):
     assert code == 64
 
 
+def test_check_rejects_rows_of_the_wrong_width(capsys, tmp_path):
+    f = tmp_path / "short.json"
+    f.write_text(json.dumps({"field": {"p": 2, "n": 3}, "basis": [[1, 0]]}))
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 64
+    assert "length 2, expected 3" in err
+
+
+def test_field_rejects_a_large_characteristic(capsys):
+    code, out, err = run_cli(capsys, "field", "65537", "1")
+    assert code == 64
+    assert "below 65536" in err
+
+
 def test_parser_level_errors_use_64(capsys, tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["span", "x.json", "--format", "csv"])

@@ -159,6 +159,15 @@ def test_sample_is_seed_deterministic():
     assert c.params["seed"] == 1
 
 
+def test_brset_316_honours_the_seed():
+    rep = run_experiment(ExperimentSpec("brset-316", seed=1))
+    assert rep.verdict == "match"
+    assert rep.params["seed"] == 1
+    assert rep.rows[0]["computed"] == {
+        "size": 40, "modulus": 21523360, "sums": 11480, "verified": True,
+    }
+
+
 def test_report_serialization():
     rep = ExperimentReport(
         name="toy",

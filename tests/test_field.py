@@ -5,6 +5,7 @@ import sympy
 from sidonspace.errors import NoSuchElementError
 from sidonspace.field import (
     DiscreteLogTable,
+    FieldCtx,
     FieldElement,
     field_from_spec,
     find_generator,
@@ -15,6 +16,14 @@ from sidonspace.field import (
     subfield_embedding,
     trace,
 )
+
+
+def test_characteristic_bound():
+    with pytest.raises(ValueError, match="below 65536"):
+        make_field(65537)
+    with pytest.raises(ValueError, match="below 65536"):
+        FieldCtx(65537, 1, 1, np.array([0, 1]))
+    assert make_field(65521).p == 65521
 
 
 def test_prime_field_arithmetic():

@@ -7,9 +7,11 @@ deltas and gammas that alters any report shows up here as a mismatch.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from sidonspace.experiments import ExperimentSpec, run_experiment
+from sidonspace.field import make_field
 
 GOLDEN = [
     ("table2", {"limit": 2}, "f7168a30ca5845d394dfadc01d3a50e54a7d823daac031c9facf39bbb4953066"),
@@ -25,3 +27,14 @@ GOLDEN = [
 def test_report_digest(name, params, digest):
     report = run_experiment(ExperimentSpec(name, params, seed=0))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_subfield_enumeration_counts_in_base_p():
+    # The tables visit deltas, and the propositions gammas, in this order.
+    ctx = make_field(3, 1, 4)
+    B = ctx.subfield_fp_basis(2)
+    els = ctx.subfield_elements(2)
+    assert els.shape == (9, 4)
+    for i, row in enumerate(els):
+        digits = np.array([i % 3, i // 3])
+        assert (row == digits @ B % 3).all()

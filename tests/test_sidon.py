@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonspace.errors import BudgetError
 from sidonspace.field import FieldElement, find_generator, make_field
@@ -17,7 +18,7 @@ from sidonspace.sidon import (
     max_span_bound,
     r_sidon_profile,
 )
-from sidonspace.subspace import intersect, scale, span, subfield_space
+from sidonspace.subspace import intersect, random_subspace, scale, span, subfield_space
 
 
 def graph_space_f2_9():
@@ -25,6 +26,22 @@ def graph_space_f2_9():
     gamma = find_generator(ctx, over_m=3)
     f = LinearizedPoly.monomial(ctx, 3, 1)
     return v_f_gamma(f, gamma)
+
+
+# (p, a, n): F_2^n and F_3^n, and F_4^n where q = p^a has a = 2.
+SMALL_FIELDS = [(2, 1, 5), (2, 1, 6), (3, 1, 4), (3, 1, 5), (2, 2, 3), (2, 2, 4)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(SMALL_FIELDS),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_routes_agree_on_random_subspaces(field, k, seed):
+    ctx = make_field(*field)
+    V = random_subspace(ctx, k, np.random.default_rng(seed))
+    assert is_sidon_intersection(V).verdict == is_r_sidon(V, 2).verdict
 
 
 def test_monomial_graph_is_sidon_both_routes():
