@@ -103,6 +103,39 @@ def test_irreducible_counts_over_f3_and_f7():
     assert count_monic_irreducibles(7, 2) == 21
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_irreducible_matches_sympy(p):
+    x = sympy.symbols("x")
+    ctx = prime_ctx(p)
+    rng = np.random.default_rng(p)
+    verdicts = []
+    for _ in range(100):
+        d = int(rng.integers(1, 14))
+        c = rng.integers(0, p, d + 1, dtype=np.int64)
+        c[d] = rng.integers(1, p)  # any nonzero leading coefficient
+        want = sympy.Poly(c[::-1].tolist(), x, modulus=p).is_irreducible
+        assert is_irreducible(ctx, c[:, None]) == want, c.tolist()
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _brute_irreducible_count_over(scal, d):
+    """Monic irreducibles of degree d over a scalar field with a > 1."""
+    count = 0
+    for low in scal.combinations(np.eye(d * scal.dim, dtype=np.int64)):
+        c = np.vstack([low.reshape(d, scal.dim), scal.one_vec[None, :]])
+        count += is_irreducible(scal, c)
+    return count
+
+
+def test_irreducible_counts_over_f4_and_f9():
+    f4, f9 = make_field(2, 2, 1), make_field(3, 2, 1)
+    assert [_brute_irreducible_count_over(f4, d) for d in (1, 2, 3)] == [4, 6, 20]
+    assert [count_monic_irreducibles(4, d) for d in (1, 2, 3)] == [4, 6, 20]
+    assert [_brute_irreducible_count_over(f9, d) for d in (1, 2)] == [9, 36]
+    assert [count_monic_irreducibles(9, d) for d in (1, 2)] == [9, 36]
+
+
 def test_counting_identity_sums_to_the_field_size():
     # sum over d | m of d * N_q(d) = q^m
     for q in (2, 3):
