@@ -20,7 +20,7 @@ import numpy as np
 from sympy import divisors, factorint, isprime
 
 from . import gfpoly
-from .errors import ConstructionError, NoSuchElementError
+from .errors import BudgetError, ConstructionError, NoSuchElementError
 from .linalg import inverse_table, right_nullspace, rref
 
 _CTX_CACHE: dict = {}
@@ -60,14 +60,19 @@ class FieldCtx:
             )
         if mod[-1] != 1:
             raise ConstructionError("modulus must be monic")
-        if self.dim > 1 and not gfpoly.is_irreducible(prime_ctx(p), mod[:, None]):
-            raise ConstructionError("modulus is reducible")
         mod.setflags(write=False)
         self.modulus = mod
         self._inv_table = inverse_table(p)
-        self._negmod = (-mod[: self.dim]) % p  # x^dim == _negmod (mod modulus)
-        self._red = self._reduction_matrix()
-        self._frob_p_mat = self._frobenius_matrix()
+        if self.dim > 1:
+            fp, f = prime_ctx(p), mod[:, None]
+            if not gfpoly.is_irreducible(fp, f):
+                raise ConstructionError("modulus is reducible")
+            # rows x^(dim+i) mod modulus for i < dim-1, and x^(p*i) mod modulus
+            self._red = gfpoly.x_power_table(fp, f, self.dim, 1, self.dim - 1)[:, :, 0]
+            self._frob_p_mat = gfpoly.x_power_table(fp, f, 0, p, self.dim)[:, :, 0]
+        else:  # prime_ctx builds these contexts, so their tables are written out
+            self._red = np.zeros((0, 1), dtype=np.int64)
+            self._frob_p_mat = np.eye(1, dtype=np.int64)
         self._pow_mats: dict[int, np.ndarray] = {
             0: np.eye(self.dim, dtype=np.int64),
             1: self._frob_p_mat,
@@ -75,52 +80,6 @@ class FieldCtx:
         self._subfield_basis: dict[int, np.ndarray] = {}
         self._subfield_gen: dict[int, np.ndarray] = {}
         self._group_factors: dict[int, int] | None = None
-
-    # -- construction helpers --------------------------------------------------
-
-    def _reduction_matrix(self) -> np.ndarray:
-        """Rows i = coefficients of x^(dim+i) mod modulus, for i < dim-1."""
-        d, p = self.dim, self.p
-        red = np.zeros((max(d - 1, 0), d), dtype=np.int64)
-        if d == 1:
-            return red
-        row = self._negmod.copy()  # x^dim
-        for i in range(d - 1):
-            red[i] = row
-            top = row[d - 1]
-            row = np.roll(row, 1)
-            row[0] = 0
-            row = (row + top * red[0]) % p
-        return red
-
-    def _reduce_long(self, c: np.ndarray) -> np.ndarray:
-        """Reduce a little-endian coefficient vector of any length."""
-        d, p = self.dim, self.p
-        c = np.array(c, dtype=np.int64) % p
-        for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if top:
-                c[i - d : i] = (c[i - d : i] + top * self._negmod) % p
-                c[i] = 0
-        out = np.zeros(d, dtype=np.int64)
-        out[: min(d, len(c))] = c[:d]
-        return out
-
-    def _frobenius_matrix(self) -> np.ndarray:
-        """Row i = coefficients of x^(i*p) mod modulus, so u^p == u @ M."""
-        d = self.dim
-        M = np.zeros((d, d), dtype=np.int64)
-        M[0, 0] = 1
-        if d == 1:
-            return M
-        full = np.zeros(self.p + 1, dtype=np.int64)
-        full[self.p] = 1
-        xp = self._reduce_long(full)
-        cur = self.one_vec
-        for i in range(1, d):
-            cur = self.mul(cur, xp)
-            M[i] = cur
-        return M
 
     # -- scalar/batch arithmetic -------------------------------------------------
 
@@ -202,8 +161,9 @@ class FieldCtx:
         while e:
             if e & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:
+                base = self.mul(base, base)
         return result
 
     def pow_many(self, U: np.ndarray, e: int) -> np.ndarray:
@@ -271,11 +231,14 @@ class FieldCtx:
 
         Row i is sum_j d_j * basis[j], where d_j is digit j of i in base p:
         basis row 0 is the fastest digit and the zero combination comes
-        first. Desk-scale only (at most 2^22 combinations).
+        first. Desk-scale only: beyond 2^22 combinations it raises
+        BudgetError before allocating anything.
         """
         p, k = self.p, basis.shape[0]
         if p**k > 1 << 22:
-            raise ValueError(f"{p}^{k} combinations are too many to enumerate")
+            raise BudgetError(
+                f"{p}^{k} combinations are too many to enumerate", required=p**k
+            )
         digits = np.arange(p**k)[:, None] // p ** np.arange(k) % p
         return digits @ basis % p
 

@@ -7,14 +7,15 @@ int64 array with no trailing zero coefficient; the zero polynomial is the
 (0 x scalar_dim) array.
 
 Only what the package needs is implemented: ring operations, gcd, modular
-exponentiation, Rabin irreducibility, counting, and seeded random search
-for monic irreducibles.
+exponentiation, tables of powers of x modulo f, Ben-Or's irreducibility
+test over the Frobenius (q-power) matrix, counting, and seeded random
+search for monic irreducibles.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from sympy import divisors, factorint, mobius
+from sympy import divisors, mobius
 
 from .errors import NoSuchElementError, SupplyError
 
@@ -111,8 +112,9 @@ def ppow_mod(ctx, f, e: int, mod):
     while e:
         if e & 1:
             result = pmod(ctx, pmul(ctx, result, base), mod)
-        base = pmod(ctx, pmul(ctx, base, base), mod)
         e >>= 1
+        if e:
+            base = pmod(ctx, pmul(ctx, base, base), mod)
     return result
 
 
@@ -122,30 +124,43 @@ def _x_poly(ctx):
     return c
 
 
-def frobenius_ladder(ctx, f, steps: int) -> list:
-    """[x, x^q, x^(q^2), ..., x^(q^steps)] all reduced mod f (q = |scalar field|)."""
-    q = ctx.order
-    out = [pmod(ctx, _x_poly(ctx), f)]
-    for _ in range(steps):
-        out.append(ppow_mod(ctx, out[-1], q, f))
+def x_power_table(ctx, f, start: int, step: int, count: int) -> np.ndarray:
+    """(count x deg f x dim) array; entry i holds x^(start + step*i) mod f.
+
+    Each entry is the little-endian coefficient array of the remainder,
+    padded with zero coefficients to deg f rows.
+    """
+    m = pdeg(f)
+    out = np.zeros((count, m, ctx.dim), dtype=np.int64)
+    cur = ppow_mod(ctx, _x_poly(ctx), start, f)
+    x_step = ppow_mod(ctx, _x_poly(ctx), step, f)
+    for i in range(count):
+        if i:
+            cur = pmod(ctx, pmul(ctx, cur, x_step), f)
+        out[i, : cur.shape[0]] = cur
     return out
 
 
 def is_irreducible(ctx, f) -> bool:
-    """Rabin's test for a polynomial over the scalar field of ``ctx``."""
+    """Ben-Or's test for a polynomial over the scalar field F_q of ``ctx``.
+
+    f of degree m is irreducible exactly when gcd(x^(q^i) - x, f) = 1 for
+    every i <= m/2. Each x^(q^i) mod f comes from the previous one through
+    the q-power matrix Q[j] = x^(q*j) mod f: every coefficient c of F_q has
+    c^q = c, so (sum_j c_j x^j)^q = sum_j c_j Q[j].
+    """
     f = _norm(f)
     m = pdeg(f)
-    if m <= 0:
-        return False
-    if m == 1:
-        return True
-    ladder = frobenius_ladder(ctx, f, m)
-    x = ladder[0]
-    if psub(ctx, ladder[m], x).shape[0]:
-        return False
-    for ell in factorint(m):
-        g = pgcd(ctx, psub(ctx, ladder[m // ell], x), f)
-        if pdeg(g) != 0:
+    if m <= 1:
+        return m == 1
+    Q = x_power_table(ctx, f, 0, ctx.order, m).reshape(m * m, ctx.dim)
+    x = _x_poly(ctx)
+    h = np.zeros((m, ctx.dim), dtype=np.int64)  # x^(q^i) mod f, padded to m rows
+    h[:2] = x
+    for _ in range(m // 2):
+        terms = ctx.mul_many(np.repeat(h, m, axis=0), Q)
+        h = terms.reshape(m, m, ctx.dim).sum(axis=0) % ctx.p
+        if pdeg(pgcd(ctx, psub(ctx, h, x), f)) != 0:
             return False
     return True
 

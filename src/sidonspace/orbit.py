@@ -64,14 +64,14 @@ class OrbitReport:
         }
 
 
-def orbit_report(V: Subspace, *, cross_check_products: bool = True) -> OrbitReport:
+def orbit_report(V: Subspace) -> OrbitReport:
     """Full projective sweep of alpha -> dim(V intersect alpha V).
 
     Computes the orbit size (validated against the stabilizer subfield),
     the minimum distance of the orbit code (2k - 2 max over alpha V != V),
     and the worst intersection over alpha outside F_q, whose being <= 1 is
-    the Sidon criterion; with cross_check_products the verdict is also
-    cross-checked against the product-collision route.
+    the Sidon criterion; the verdict is cross-checked against the
+    product-collision route.
     """
     ctx = V.ctx
     k = V.dim
@@ -105,12 +105,11 @@ def orbit_report(V: Subspace, *, cross_check_products: bool = True) -> OrbitRepo
         min_distance = None
 
     sidon = k >= 1 and max_nonbase <= 1
-    if cross_check_products:
-        verdict = is_r_sidon(V, 2).verdict
-        if verdict != sidon:
-            raise AssertionError(
-                f"intersection sweep says sidon={sidon} but products say {verdict}"
-            )
+    verdict = is_r_sidon(V, 2).verdict
+    if verdict != sidon:
+        raise AssertionError(
+            f"intersection sweep says sidon={sidon} but products say {verdict}"
+        )
     return OrbitReport(
         fingerprint=V.fingerprint(),
         dim=k,

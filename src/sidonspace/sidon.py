@@ -58,7 +58,7 @@ class SidonReport:
         }
 
 
-def is_sidon_intersection(V: Subspace, *, chunk: int = 4096, budget: int = 1 << 22) -> SidonReport:
+def is_sidon_intersection(V: Subspace, *, budget: int = 1 << 22) -> SidonReport:
     """Sidon check by scalar sweep: dim(V ∩ alpha V) <= 1 off the base field.
 
     Scaling alpha by base-field units does not change alpha V, so only one
@@ -75,6 +75,7 @@ def is_sidon_intersection(V: Subspace, *, chunk: int = 4096, budget: int = 1 << 
     one = ctx.proj_canon(ctx.one_vec[None, :])[0]
     pts = pts[~(pts == one).all(axis=1)]
     checked = 0
+    chunk = 4096  # a False verdict counts alphas_checked through its batch
     for lo in range(0, pts.shape[0], chunk):
         batch = pts[lo : lo + chunk]
         dims = intersection_dims_with_scaled(V, batch)
@@ -107,9 +108,7 @@ def is_sidon_intersection(V: Subspace, *, chunk: int = 4096, budget: int = 1 << 
     )
 
 
-def is_r_sidon(
-    V: Subspace, r: int, *, budget: int = DEFAULT_BUDGET, chunk: int = 8192
-) -> SidonReport:
+def is_r_sidon(V: Subspace, r: int, *, budget: int = DEFAULT_BUDGET) -> SidonReport:
     """Product-route check that r-fold products separate point multisets.
 
     Enumerates all multisets of r projective points of V in a fixed order;
@@ -131,6 +130,7 @@ def is_r_sidon(
     seen: dict[bytes, tuple[int, ...]] = {}
     it = itertools.combinations_with_replacement(range(N), r)
     checked = 0
+    chunk = 8192  # a collision counts multisets_checked through its block
     while True:
         block = list(itertools.islice(it, chunk))
         if not block:

@@ -127,6 +127,18 @@ def test_check_budget_exit(capsys, tmp_path):
     assert "budget exceeded" in err
 
 
+def test_check_of_an_oversized_space_is_a_budget_exit(capsys, tmp_path):
+    # 2^23 elements: on the products route the enumeration guard fires
+    # before anything is allocated
+    f = tmp_path / "big.json"
+    basis = [[int(i == j) for j in range(23)] for i in range(23)]
+    f.write_text(json.dumps({"field": {"p": 2, "n": 23}, "basis": basis}))
+    for method in ("products", "intersection"):
+        code, out, err = run_cli(capsys, "check", str(f), "--method", method)
+        assert code == 2
+        assert "budget exceeded" in err
+
+
 def test_orbit_report_cli(capsys, tmp_path):
     f = trace_file(capsys, tmp_path)
     code, rep, _ = run_json(capsys, "orbit", str(f))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from sidonspace.errors import NoSuchElementError
+from sidonspace.errors import BudgetError, ConstructionError, NoSuchElementError
 from sidonspace.field import (
     DiscreteLogTable,
     FieldCtx,
@@ -74,6 +74,45 @@ def test_inverse_and_power():
         assert (a * a.inverse()) == ctx.one
         assert a ** 80 == ctx.one
         assert a ** 81 == a
+
+
+def test_pow_elem_squares_only_up_to_the_top_bit(monkeypatch):
+    ctx = make_field(3, 1, 16)
+    calls = []
+    mul = FieldCtx.mul
+
+    def counting_mul(self, u, v):
+        calls.append(1)
+        return mul(self, u, v)
+
+    monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+    u = ctx.element([0, 1]).vec
+    for e in (1, 2, 5, (3**16 - 1) // 2):
+        calls.clear()
+        ctx.pow_elem(u, e)
+        # one product per set bit, one squaring per bit below the top one
+        assert len(calls) == bin(e).count("1") + e.bit_length() - 1
+    assert len(calls) == 34
+    monkeypatch.undo()
+    a = ctx.element([2, 1, 1])
+    prod = ctx.one
+    for e in range(1, 12):
+        prod = prod * a
+        assert a**e == prod
+
+
+def test_reducible_modulus_is_rejected():
+    with pytest.raises(ConstructionError, match="reducible"):
+        FieldCtx(2, 1, 4, np.array([1, 0, 0, 0, 1]))  # x^4 + 1 = (x + 1)^4
+    with pytest.raises(ConstructionError, match="reducible"):
+        make_field(3, 1, 2, modulus=[2, 0, 1])  # x^2 - 1
+
+
+def test_oversized_combinations_raise_budget_error():
+    ctx = make_field(2, 1, 23)
+    with pytest.raises(BudgetError) as err:
+        ctx.combinations(np.eye(23, dtype=np.int64))
+    assert err.value.required == 2**23
 
 
 def test_frobenius_is_q_power_and_additive():

@@ -14,6 +14,7 @@ from sidonspace.gfpoly import (
     pgcd,
     pmul,
     random_monic,
+    x_power_table,
     require_supply,
 )
 
@@ -117,6 +118,22 @@ def test_is_irreducible_matches_sympy(p):
         assert is_irreducible(ctx, c[:, None]) == want, c.tolist()
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_x_power_table_matches_sympy():
+    x = sympy.symbols("x")
+    F5 = prime_ctx(5)
+    rng = np.random.default_rng(11)
+    for start, step, count in [(0, 5, 7), (7, 1, 6), (3, 11, 4)]:
+        c = rng.integers(0, 5, 8, dtype=np.int64)
+        c[7] = 1
+        f = sympy.Poly(c[::-1].tolist(), x, modulus=5)
+        table = x_power_table(F5, c[:, None], start, step, count)
+        assert table.shape == (count, 7, 1)
+        for i in range(count):
+            rem = sympy.rem(sympy.Poly(x ** (start + step * i), x, modulus=5), f)
+            want = [int(v) % 5 for v in reversed(rem.all_coeffs())]
+            assert table[i, :, 0].tolist() == want + [0] * (7 - len(want))
 
 
 def _brute_irreducible_count_over(scal, d):
