@@ -253,3 +253,18 @@ def test_is_qm1_power():
     ctx2 = make_field(2, 1, 6)
     h = ctx2.element(ctx2.subfield_generator(3))
     assert is_qm1_power(ctx2, h, 3)  # q-1 = 1: everything qualifies
+
+
+def test_polynomial_independence_check_over_f4():
+    f4 = make_field(2, 2, 1)
+    gamma = find_generator(make_field(2, 2, 3))
+    one, w = [1, 0], [0, 1]  # 1 and a generator of F_4
+
+    def poly(*coeffs):
+        return Poly(f4, np.array(coeffs, dtype=np.int64))
+
+    fs = [poly([0, 0], one), poly(one, w), poly(w, [0, 0], one)]
+    assert polynomial_independence_check(fs, gamma) is True
+    # w*x + w = w*(x) + w*(1): dependent over F_4, independent over F_2
+    dep = [poly([0, 0], one), poly(one), poly(w, w)]
+    assert polynomial_independence_check(dep, gamma) is False

@@ -339,3 +339,14 @@ def test_random_element_determinism():
     a = ctx.random_element(np.random.default_rng(42))
     b = ctx.random_element(np.random.default_rng(42))
     assert a == b
+
+
+@pytest.mark.parametrize("p,a,n", [(2, 2, 3), (3, 2, 2)])
+def test_proj_canon_is_the_smallest_vector_of_each_scaling_orbit(p, a, n):
+    ctx = make_field(p, a, n)
+    U = ctx.combinations(np.eye(ctx.dim, dtype=np.int64))[1:]
+    scalars = ctx.subfield_elements(1)[1:]
+    want = [
+        min(tuple(int(c) for c in ctx.mul(u, s)) for s in scalars) for u in U
+    ]
+    assert ctx.proj_canon(U).tolist() == [list(w) for w in want]
