@@ -31,7 +31,7 @@ from .field import (
     prime_ctx,
     random_irreducibles,
 )
-from .linalg import SpanBuilder
+from .linalg import rank
 from .qpoly import LinearizedPoly, is_scattered, v_f_gamma
 from .subspace import (
     Subspace,
@@ -507,27 +507,16 @@ def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:
         )
     scal = fs[0].field
     width = dmax + 1
-    rows = []
-    for pl in fs:
-        c = np.zeros((width, scal.dim), dtype=np.int64)
+    coeffs = np.zeros((len(fs), width, scal.dim), dtype=np.int64)
+    for c, pl in zip(coeffs, fs):
         c[: pl.coeffs.shape[0]] = pl.coeffs
-        if scal.dim == 1:
-            rows.append(c[:, 0])
-        else:
-            rows.append(c.reshape(-1))
-    if scal.dim == 1:
-        from .linalg import rank
-
-        coeff_rank = rank(np.array(rows, dtype=np.int64), scal.p)
-    else:
-        sb = SpanBuilder(scal.p, width * scal.dim)
-        scalars = scal.subfield_elements(1)[1:]
-        for row in rows:
-            mat = row.reshape(width, scal.dim)
-            for sc in scalars:
-                scaled = scal.mul_many(mat, np.broadcast_to(sc, mat.shape))
-                sb.insert(scaled.reshape(-1))
-        coeff_rank = sb.rank // scal.a
+    # the F_q-rank is the F_p-rank of all nonzero F_q-multiples, divided by a
+    flat = coeffs.reshape(-1, scal.dim)
+    rows = np.vstack([
+        scal.mul_many(np.broadcast_to(s, flat.shape), flat).reshape(len(fs), -1)
+        for s in scal.subfield_elements(1)[1:]
+    ])
+    coeff_rank = rank(rows, scal.p) // scal.a
     evals = [pl.evaluate_in(ctx, gamma) for pl in fs]
     eval_dim = span(ctx, evals).dim
     assert coeff_rank == eval_dim, (

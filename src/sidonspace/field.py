@@ -292,11 +292,20 @@ class FieldCtx:
             lead = np.where(nz.any(axis=1), lead, 1)
             return (U * self._inv_table[lead][:, None]) % self.p
         scalars = self.subfield_elements(1)[1:]
+        s = scalars.shape[0]
         out = np.empty_like(U)
-        for i, u in enumerate(U):
-            orbit = self.mul_many(np.broadcast_to(u, (scalars.shape[0], self.dim)), scalars)
-            keys = [row.tobytes() for row in orbit]
-            out[i] = orbit[min(range(len(keys)), key=keys.__getitem__)]
+        step = max(1, (1 << 16) // s)  # orbit rows per chunk
+        for lo in range(0, U.shape[0], step):
+            chunk = U[lo : lo + step]
+            orbit = self.mul_many(
+                np.repeat(chunk, s, axis=0), np.tile(scalars, (chunk.shape[0], 1))
+            ).reshape(-1, s, self.dim)
+            # lexicographic minimum: narrow each orbit column by column
+            best = np.ones(orbit.shape[:2], dtype=bool)
+            for j in range(self.dim):
+                col = np.where(best, orbit[:, :, j], self.p)
+                best &= col == col.min(axis=1, keepdims=True)
+            out[lo : lo + step] = orbit[np.arange(chunk.shape[0]), best.argmax(axis=1)]
         return out
 
     # -- misc ---------------------------------------------------------------------------

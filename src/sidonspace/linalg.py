@@ -1,15 +1,16 @@
 """Dense linear algebra over prime fields F_p.
 
-All matrices are numpy int64 arrays with entries reduced mod p. The main
-workhorse is :class:`SpanBuilder`, an incremental reduced-row-echelon
-accumulator: inserting vectors keeps a canonical RREF basis (unit pivots,
-zeros above and below each pivot, rows ordered by pivot column), so two
-equal row spaces always produce byte-identical bases.
+All matrices are numpy int64 arrays with entries reduced mod p. One
+kernel, a batched Gauss-Jordan sweep over a (B x m x n) stack, does every
+elimination: :func:`rref` and :func:`rank` run it on one matrix,
+:class:`SpanBuilder` on its basis stacked with the new rows, and
+:func:`batch_rank` on a whole stack. Its output is the canonical RREF
+(unit pivots, zeros above and below each pivot, rows ordered by pivot
+column), so two equal row spaces always produce byte-identical bases.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -25,14 +26,51 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
-def _first_nonzero(v: np.ndarray) -> int:
-    """Index of the first nonzero entry of 1-D ``v``, or -1 if ``v`` is zero."""
-    nz = np.flatnonzero(v)
-    return int(nz[0]) if nz.size else -1
+def _gauss_jordan(M: np.ndarray, p: int) -> np.ndarray:
+    """Bring every matrix of the (B x m x n) stack ``M`` to RREF, in place.
+
+    Entries must already lie in [0, p). Step i pivots every matrix that
+    still has a nonzero entry in rows i.. on the first such column: that
+    row is swapped into row i, scaled to a unit pivot and the column is
+    cleared in every other row. A matrix drops out once rows i.. are zero,
+    so the loop runs max-rank times.
+
+    Returns:
+        Length-B int64 array of ranks.
+    """
+    B, m, n = M.shape
+    inv = inverse_table(p)
+    ranks = np.full(B, min(m, n), dtype=np.int64)
+    live = k = np.arange(B)
+    S = M
+    for i in range(min(m, n)):
+        nz = S[:, i:] != 0
+        cols = nz.any(axis=1)
+        has = cols.any(axis=1)
+        if not has.all():
+            ranks[live[~has]] = i
+            M[live[~has]] = S[~has]
+            live, S, nz, cols = live[has], S[has], nz[has], cols[has]
+            k = k[: live.size]
+            if not live.size:
+                break
+        c = cols.argmax(axis=1)
+        r = i + nz[k, :, c].argmax(axis=1)
+        prow = S[k, r]
+        prow = prow * inv[prow[k, c]][:, None] % p
+        S[k, r] = S[k, i]
+        S[k, i] = prow
+        f = S[k, :, c]
+        f[:, i] = 0
+        S -= f[:, :, None] * prow[:, None, :]
+        S %= p
+    if S is not M:
+        M[live] = S
+    return ranks
 
 
 class SpanBuilder:
-    """Incremental RREF accumulator for row vectors over F_p.
+    """Accumulator of a row space over F_p in canonical RREF.
 
     Args:
         p: Field characteristic (prime).
@@ -43,18 +81,17 @@ class SpanBuilder:
     :attr:`pivots` (sorted pivot column indices, one per basis row).
     """
 
-    __slots__ = ("p", "ncols", "_rows", "_pivots", "_inv")
+    __slots__ = ("p", "_basis", "_pivots")
 
     def __init__(self, p: int, ncols: int):
         self.p = p
-        self.ncols = ncols
-        self._rows: list[np.ndarray] = []
+        self._basis = np.zeros((0, ncols), dtype=np.int64)
+        self._basis.setflags(write=False)
         self._pivots: list[int] = []
-        self._inv = inverse_table(p)
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def pivots(self) -> list[int]:
@@ -62,9 +99,7 @@ class SpanBuilder:
 
     @property
     def basis(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        return np.array(self._rows, dtype=np.int64)
+        return self._basis
 
     def reduce(self, rows: np.ndarray) -> np.ndarray:
         """Reduce a batch of rows against the current basis.
@@ -77,60 +112,20 @@ class SpanBuilder:
             the corresponding row lies in the accumulated span.
         """
         rows = np.atleast_2d(rows) % self.p
-        if not self._rows:
+        if not self._pivots:
             return rows
-        B = self.basis
-        coeffs = rows[:, self._pivots]
-        return (rows - coeffs @ B) % self.p
+        return (rows - rows[:, self._pivots] @ self._basis) % self.p
 
     def contains(self, rows: np.ndarray) -> bool:
         return not self.reduce(rows).any()
 
-    def insert(self, v: np.ndarray) -> bool:
-        """Insert one vector; returns True if the rank grew."""
-        v = self.reduce(v)[0]
-        j = _first_nonzero(v)
-        if j < 0:
-            return False
-        self._insert_reduced(v, j)
-        return True
-
-    def _insert_reduced(self, v: np.ndarray, j: int) -> None:
-        # v is already reduced against the basis and v[j] is its first nonzero.
-        p = self.p
-        v = (v * self._inv[v[j]]) % p
-        for i, row in enumerate(self._rows):
-            c = row[j]
-            if c:
-                self._rows[i] = (row - c * v) % p
-        pos = bisect_left(self._pivots, j)
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, j)
-
     def insert_many(self, rows: np.ndarray) -> int:
-        """Insert a batch of (m x ncols) rows; returns the number of rank increases.
-
-        Reduction of the batch is done once against the existing basis and
-        then maintained with rank-1 updates per insertion, so the cost is
-        O(batch * ncols) per new pivot rather than per row.
-        """
-        R = self.reduce(rows)
-        added = 0
-        p = self.p
-        live = R[R.any(axis=1)]
-        while live.size:
-            v = live[0]
-            j = _first_nonzero(v)
-            self._insert_reduced(v, j)
-            added += 1
-            # Eliminate the new pivot column from the remaining batch.
-            pivot_row = self._rows[bisect_left(self._pivots, j)]
-            rest = live[1:]
-            col = rest[:, j]
-            if col.any():
-                rest = (rest - col[:, None] * pivot_row) % p
-            live = rest[rest.any(axis=1)]
-        return added
+        """Insert a batch of (m x ncols) rows; returns the number of rank increases."""
+        before = self.rank
+        R, self._pivots = rref(np.vstack([self._basis, np.atleast_2d(rows)]), self.p)
+        R.setflags(write=False)
+        self._basis = R
+        return self.rank - before
 
 
 def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -140,10 +135,9 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         (R, pivots): canonical RREF basis of the row space and its pivot
         column indices.
     """
-    A = np.atleast_2d(A)
-    sb = SpanBuilder(p, A.shape[1])
-    sb.insert_many(A)
-    return sb.basis, sb.pivots
+    M = np.array(np.atleast_2d(A), dtype=np.int64)[None] % p
+    R = M[0, : _gauss_jordan(M, p)[0]]
+    return R, (R != 0).argmax(axis=1).tolist() if R.size else []
 
 
 def rank(A: np.ndarray, p: int) -> int:
@@ -157,18 +151,12 @@ def right_nullspace(A: np.ndarray, p: int) -> np.ndarray:
         (nullity x ncols) array; rows are canonical (each has a 1 in "its"
         free column and zeros in the other free columns).
     """
-    A = np.atleast_2d(A) % p
-    m, n = A.shape
     R, pivots = rref(A, p)
-    free = [j for j in range(n) if j not in set(pivots)]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
-    out = np.zeros((len(free), n), dtype=np.int64)
-    for i, j in enumerate(free):
-        out[i, j] = 1
-        # pivot variable values: x_pivots = -R[:, j]
-        for r, pc in enumerate(pivots):
-            out[i, pc] = (-R[r, j]) % p
+    n = R.shape[1]
+    free = np.setdiff1d(np.arange(n), pivots)
+    out = np.zeros((free.size, n), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, pivots] = -R[:, free].T % p
     return out
 
 
@@ -181,40 +169,12 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a batch of matrices over F_p.
 
     Args:
-        mats: (B x m x n) array. Consumed destructively on a copy.
+        mats: (B x m x n) array; not modified.
 
     Returns:
         Length-B int64 array of ranks.
     """
-    M = np.array(mats, dtype=np.int64) % p
-    B, m, n = M.shape
-    inv = inverse_table(p)
-    r = np.zeros(B, dtype=np.int64)
-    row_idx = np.arange(m)
-    batch_idx = np.arange(B)
-    for c in range(n):
-        if (r >= m).all():
-            break
-        col = M[:, :, c]
-        avail = (row_idx[None, :] >= r[:, None]) & (col != 0)
-        has = avail.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(avail, axis=1)
-        b = batch_idx[has]
-        pv = piv[has]
-        rr = r[has]
-        prow = M[b, pv, :].copy()
-        # swap pivot row into position rr
-        M[b, pv, :] = M[b, rr, :]
-        prow = (prow * inv[prow[np.arange(len(b)), c]][:, None]) % p
-        M[b, rr, :] = prow
-        # eliminate the pivot column from rows strictly below rr
-        below = row_idx[None, :] > rr[:, None]
-        factors = M[b, :, c] * below
-        M[b] = (M[b] - factors[:, :, None] * prow[:, None, :]) % p
-        r[has] += 1
-    return r
+    return _gauss_jordan(np.array(mats, dtype=np.int64) % p, p)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

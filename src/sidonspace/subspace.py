@@ -330,7 +330,8 @@ def random_subspace(ctx: FieldCtx, k: int, rng: np.random.Generator) -> Subspace
     """
     if not 0 <= k <= ctx.n:
         raise ValueError(f"k must lie in [0, {ctx.n}]")
-    out = span(ctx, [])
+    rows: list[np.ndarray] = []
+    out = span(ctx, rows)
     guard = 0
     while out.dim < k:
         guard += 1
@@ -339,7 +340,8 @@ def random_subspace(ctx: FieldCtx, k: int, rng: np.random.Generator) -> Subspace
         v = rng.integers(0, ctx.p, ctx.dim, dtype=np.int64)
         if not v.any() or out.contains(v):
             continue
-        out = sum_spaces(out, span(ctx, [v]))
+        rows.append(v)
+        out = span(ctx, rows)
     return out
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from sidonspace.linalg import (
     SpanBuilder,
@@ -67,8 +69,7 @@ def test_span_builder_tracks_rank_and_membership():
     sb = SpanBuilder(3, 5)
     inserted = 0
     for row in A:
-        if sb.insert(row):
-            inserted += 1
+        inserted += sb.insert_many(row[None, :])
     assert sb.rank == rank(A, 3)
     assert inserted == sb.rank
     for row in A:
@@ -110,6 +111,43 @@ def test_batch_rank_agrees_with_rank():
     mats = rng.integers(0, 3, (10, 4, 5), dtype=np.int64)
     br = batch_rank(mats, 3)
     assert br.tolist() == [rank(m, 3) for m in mats]
+
+
+def _sympy_rref(A, p):
+    M = DomainMatrix.from_list(A.tolist(), GF(p)) if len(A) else DomainMatrix.zeros(A.shape, GF(p))
+    R, piv = M.rref()
+    # sympy may print GF(p) entries as symmetric representatives
+    rows = [[int(x) % p for x in row] for row in R.to_list()[: len(piv)]]
+    return np.array(rows, dtype=np.int64).reshape(len(piv), A.shape[1]), list(piv), M.rank()
+
+
+def _mixed_rank_stack(rng, p, count, m, n):
+    """Matrices X @ Y of every rank up to min(m, n), the zero matrix first."""
+    out = np.zeros((count, m, n), dtype=np.int64)
+    for b in range(1, count):
+        r = b % (min(m, n) + 1)
+        out[b] = rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_and_batch_rank_match_sympy(p):
+    rng = np.random.default_rng(p)
+    for m, n in ((4, 6), (6, 4), (5, 5), (0, 4)):
+        mats = _mixed_rank_stack(rng, p, 12, m, n)
+        want = [_sympy_rref(A, p) for A in mats]
+        assert batch_rank(mats, p).tolist() == [w[2] for w in want]
+        for A, (R0, piv0, r0) in zip(mats, want):
+            R, piv = rref(A, p)
+            assert R.tolist() == R0.tolist() and piv == piv0 and rank(A, p) == r0
+    assert batch_rank(np.zeros((0, 3, 4), dtype=np.int64), p).shape == (0,)
+
+
+def test_span_builder_basis_is_read_only():
+    sb = SpanBuilder(5, 4)
+    sb.insert_many(np.array([[1, 2, 3, 4], [0, 1, 1, 0]]))
+    with pytest.raises(ValueError):
+        sb.basis[0, 0] = 2
 
 
 def test_gaussian_binomial_known_values():
