@@ -116,7 +116,7 @@ def test_batch_rank_agrees_with_rank():
 def _sympy_rref(A, p):
     M = DomainMatrix.from_list(A.tolist(), GF(p)) if len(A) else DomainMatrix.zeros(A.shape, GF(p))
     R, piv = M.rref()
-    # sympy may print GF(p) entries as symmetric representatives
+    # sympy may hold GF(p) entries as symmetric representatives
     rows = [[int(x) % p for x in row] for row in R.to_list()[: len(piv)]]
     return np.array(rows, dtype=np.int64).reshape(len(piv), A.shape[1]), list(piv), M.rank()
 
