@@ -209,3 +209,30 @@ def test_scale_by_a_coefficient():
     for u in subfield_space(ctx, 4).elements()[:10]:
         e = FieldElement(ctx, u)
         assert g.evaluate(e) == f.evaluate(e) * 2
+
+
+def test_interpolate_pins_the_underdetermined_solution():
+    # Fewer F_q-independent conditions than coefficients: the free
+    # coefficients are zero and the pivot ones are fixed by the data.
+    ctx = make_field(3, 1, 4)
+    E = ctx.subfield_elements(4)
+    pairs = [(FieldElement(ctx, E[5]), FieldElement(ctx, E[40])),
+             (FieldElement(ctx, E[17]), FieldElement(ctx, E[71]))]
+    g = interpolate(ctx, 4, pairs)
+    assert g.coeffs.tolist() == [[1, 0, 1, 1], [2, 2, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+    # Over F_4 with an F_q-dependent pair of arguments (a and xi*a).
+    ctx = make_field(2, 2, 4)
+    E = ctx.subfield_elements(4)
+    xi = FieldElement(ctx, ctx.subfield_elements(1)[2])
+    a, b, c, d = (FieldElement(ctx, E[i]) for i in (7, 100, 33, 250))
+    pairs = [(a, b), (xi * a, xi * b), (c, d)]
+    g = interpolate(ctx, 4, pairs)
+    assert g.coeffs.tolist() == [
+        [1, 1, 1, 0, 0, 0, 0, 0],
+        [0, 1, 1, 0, 1, 1, 1, 0],
+        [0] * 8,
+        [0] * 8,
+    ]
+    for x, y in pairs:
+        assert g.evaluate(x) == y

@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonspace.constructions import monomial
 from sidonspace.errors import BudgetError
@@ -160,6 +162,73 @@ def test_span_chain_cap_reports_truncation():
     assert ch.truncated
     assert ch.t is None
     assert ch.t_bar is None
+
+
+def test_span_chain_stabilizing_at_the_cap():
+    # dims (3, 6, 9, 11, 12) and V^5 = V^6: a cap of 5 sees the stabilization,
+    # a cap of 4 does not.
+    V = monomial(2, 3, 1, 4, 3).space
+    ch = span_chain(V, s_max=5)
+    assert ch.dims == (3, 6, 9, 11, 12)
+    assert ch.t_bar == 5 and ch.t == 5
+    assert not ch.truncated
+    ch = span_chain(V, s_max=4)
+    assert ch.dims == (3, 6, 9, 11)
+    assert ch.truncated
+    assert ch.t_bar is None and ch.t is None
+    assert power(V, 7) == power(V, 5)
+
+
+CHAIN_FIELDS = [(2, 1, 6), (3, 1, 4), (2, 2, 3)]
+
+
+def _random_nonzero_subspace(field, k, seed):
+    ctx = make_field(*field)
+    return random_subspace(ctx, min(k, ctx.n), np.random.default_rng(seed))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    field=st.sampled_from(CHAIN_FIELDS),
+    k=st.integers(1, 4),
+    s_max=st.sampled_from([None, 1, 2, 3]),
+    j=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_chain_is_invariant_under_scaling_and_frobenius(field, k, s_max, j, seed):
+    V = _random_nonzero_subspace(field, k, seed)
+    ctx = V.ctx
+    rng = np.random.default_rng(seed + 1)
+    alpha = ctx.element(rng.integers(0, ctx.p, ctx.dim))
+    if alpha.is_zero():
+        alpha = ctx.one
+    ch = span_chain(V, s_max=s_max)
+    # (alpha V)^s = alpha^s V^s has the dimension of V^s for every s, but the
+    # chain of alpha V may run on past V^(t_bar) = V^(t_bar + 1), where the
+    # dimensions no longer change; compare both padded to the cap.
+    cap = s_max or ctx.n + 1
+    padded = lambda c: c.dims + c.dims[-1:] * (cap - len(c.dims))
+    assert padded(span_chain(scale(V, alpha), s_max=s_max)) == padded(ch)
+    for W in (frob_image(V, j), frob_image(V, j, p_power=True)):
+        img = span_chain(W, s_max=s_max)
+        assert img.dims == ch.dims
+        assert (img.t, img.t_bar, img.truncated) == (ch.t, ch.t_bar, ch.truncated)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    field=st.sampled_from(CHAIN_FIELDS),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_chain_t_and_field_degree_match_their_definitions(field, k, seed):
+    V = _random_nonzero_subspace(field, k, seed)
+    m = math.lcm(*(FieldElement(V.ctx, row).degree_over_base() for row in V.basis))
+    assert generated_field_degree(V) == m
+    ch = span_chain(V)
+    target = subfield_space(V.ctx, m)
+    hits = [s for s, lv in enumerate(ch.levels, start=1) if lv == target]
+    assert ch.t == (hits[0] if hits else None)
 
 
 def test_stabilizer_and_orbit_size():
