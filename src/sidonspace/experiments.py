@@ -21,7 +21,7 @@ from .brset import extract_brset
 from .constructions import binomial_family
 from .field import find_generator, make_field
 from .sidon import audit_bounds, is_r_sidon
-from .subspace import random_subspace, span, span_chain
+from .subspace import random_subspace, span, span_levels
 
 
 def _json_default(o):
@@ -183,15 +183,13 @@ def _graph_table(
             if V.dim != k:
                 dims_seen[-1] += 1
                 continue
-            ch = span_chain(V, s_max=r)
-            dims = ch.dims
+            dims = [lv.dim for lv in span_levels(V, r)]
             for lvl, d in enumerate(dims, start=1):
                 if d > min(n, math.comb(k + lvl - 1, lvl)):
                     cap_violations += 1
-            dim_r = dims[min(r, len(dims)) - 1]
-            dims_seen[dim_r] += 1
+            dims_seen[dims[-1]] += 1  # dim V^r: a shorter chain is stable
             if first_chain is None:
-                first_chain = list(dims)
+                first_chain = dims
                 if collect:
                     audit = audit_bounds(V, s_max=r)
                     audits.append(

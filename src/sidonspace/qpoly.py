@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import NoSuchElementError
 from .field import FieldCtx, FieldElement
+from .linalg import left_nullspace, rref
 from .subspace import Subspace, span, subfield_space
 
 
@@ -134,8 +135,6 @@ class LinearizedPoly:
 
     def kernel(self) -> Subspace:
         """Kernel of f on F_{q^k} as a subspace of the ambient field."""
-        from .linalg import left_nullspace
-
         B = self.ctx.subfield_fp_basis(self.k)
         M = self.matrix_on_subfield()
         null = left_nullspace(M, self.ctx.p)
@@ -203,50 +202,33 @@ def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:
 def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:
     """Linearized polynomial through the given (argument, value) pairs.
 
-    Solves the Moore-style system sum_j c_j a_i^(q^j) = b_i by Gaussian
-    elimination over the field; free coefficients are set to zero. Raises
-    NoSuchElementError when the system is inconsistent.
+    Solves the Moore-style system sum_j c_j a_i^(q^j) = b_i over F_p: the
+    unknowns are the coordinates of each c_j in the F_p-basis (beta_t) of
+    F_{q^k}, so column (j, t) stacks beta_t * a_i^(q^j) over i. The F_p
+    pivots are J x {every t} for the F_{q^k} pivot set J, and free
+    coordinates are set to zero. Raises NoSuchElementError when the system
+    is inconsistent.
     """
     if len(pairs) > k:
         raise ValueError("more conditions than coefficients")
-    rows = []
-    rhs = []
+    B = ctx.subfield_fp_basis(k)
+    args, vals = [], []
     for a, b in pairs:
         av = a.vec if isinstance(a, FieldElement) else np.asarray(a, dtype=np.int64)
         bv = b.vec if isinstance(b, FieldElement) else np.asarray(b, dtype=np.int64)
         if not ctx.in_subfield(av, k) or not ctx.in_subfield(bv, k):
             raise ValueError("interpolation data must lie in F_{q^k}")
-        rows.append([ctx.frob_q(av, j) for j in range(k)])
-        rhs.append(bv.copy())
-    m = len(rows)
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(k):
-        sel = None
-        for i in range(r, m):
-            if rows[i][col].any():
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        inv = ctx.inv(rows[r][col])
-        rows[r] = [ctx.mul(x, inv) for x in rows[r]]
-        rhs[r] = ctx.mul(rhs[r], inv)
-        for i in range(m):
-            if i != r and rows[i][col].any():
-                c = rows[i][col].copy()
-                rows[i] = [(rows[i][j] - ctx.mul(c, rows[r][j])) % ctx.p for j in range(k)]
-                rhs[i] = (rhs[i] - ctx.mul(c, rhs[r])) % ctx.p
-        piv_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rhs[i].any():
-            raise NoSuchElementError("no linearized polynomial satisfies the conditions")
-    coeffs = np.zeros((k, ctx.dim), dtype=np.int64)
-    for i, col in enumerate(piv_cols):
-        coeffs[col] = rhs[i]
-    return LinearizedPoly(ctx, k, coeffs)
+        args.append(av)
+        vals.append(bv)
+    m, d, nb = len(pairs), ctx.dim, B.shape[0]
+    U = np.array(args, dtype=np.int64).reshape(m, d)
+    powers = np.vstack([ctx.frob_q(U, j) for j in range(k)])  # row j*m + i: a_i^(q^j)
+    P = ctx.mul_many(np.repeat(powers, nb, axis=0), np.tile(B, (k * m, 1)))
+    A = P.reshape(k, m, nb, d).transpose(1, 3, 0, 2).reshape(m * d, k * nb)
+    rhs = np.array(vals, dtype=np.int64).reshape(m * d, 1)
+    R, pivots = rref(np.hstack([A, rhs]), ctx.p)
+    if pivots and pivots[-1] == k * nb:
+        raise NoSuchElementError("no linearized polynomial satisfies the conditions")
+    x = np.zeros(k * nb, dtype=np.int64)
+    x[pivots] = R[:, -1]
+    return LinearizedPoly(ctx, k, x.reshape(k, nb) @ B % ctx.p)

@@ -205,24 +205,35 @@ def product(U: Subspace, V: Subspace) -> Subspace:
     return Subspace(ctx, ctx.mul_many(left, right))
 
 
+def span_levels(V: Subspace, count: int) -> list[Subspace]:
+    """The product spans V, V^2, ..., V^count, stopping at the first V^s = V^(s+1).
+
+    A stable chain stays stable (V^(s+2) = V^(s+1) V = V^s V = V^(s+1)),
+    so the last level returned is V^count even when the list is shorter.
+    """
+    levels = [V]
+    while len(levels) < count:
+        nxt = product(levels[-1], V)
+        if nxt == levels[-1]:
+            break
+        levels.append(nxt)
+    return levels
+
+
 def power(V: Subspace, r: int) -> Subspace:
     """The r-fold product span V^r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    out = V
-    for _ in range(r - 1):
-        out = product(out, V)
-    return out
+    return span_levels(V, r)[-1]
 
 
 def generated_field_degree(V: Subspace) -> int:
-    """Degree m over F_q of the subfield generated by the elements of V."""
+    """Degree m over F_q of the subfield generated by the elements of V.
+
+    That subfield is the smallest F_{q^m} (m | n) holding every basis row.
+    """
     ctx = V.ctx
-    m = 1
-    for row in V.basis:
-        d = FieldElement(ctx, row).degree_over_base()
-        m = m * d // np.gcd(m, d)
-    return int(m)
+    return next(m for m in ctx.subfield_degrees if ctx.in_subfield(V.basis, m).all())
 
 
 @dataclass(frozen=True)
@@ -256,32 +267,26 @@ def span_chain(V: Subspace, s_max: int | None = None) -> SpanChain:
     The chain always stabilizes when it is nested (in particular when
     1 in V); a cap of s_max levels (default n+1) guards the degenerate
     non-nested case, reported through ``truncated``.
+
+    Every level lies in the generated subfield F_{q^m}, which is closed
+    under products, so a level equals that subfield exactly when its
+    dimension is m; ``t`` is found by dimension, without building the
+    subfield.
     """
     if V.is_zero():
         raise ValueError("span chain of the zero space")
+    if s_max is not None and s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
     cap = s_max if s_max is not None else V.ctx.n + 1
+    levels = span_levels(V, cap + 1)
+    stable = len(levels) <= cap  # span_levels stops short only at V^s = V^(s+1)
+    levels = levels[:cap]
     m_gen = generated_field_degree(V)
-    target = subfield_space(V.ctx, m_gen)
-    levels = [V]
-    t = 1 if V == target else None
-    t_bar = None
-    truncated = False
-    while True:
-        nxt = product(levels[-1], V)
-        if nxt == levels[-1]:
-            t_bar = len(levels)
-            break
-        if len(levels) >= cap:
-            truncated = True
-            break
-        levels.append(nxt)
-        if t is None and nxt == target:
-            t = len(levels)
     return SpanChain(
         levels=tuple(levels),
-        t=t,
-        t_bar=t_bar,
-        truncated=truncated,
+        t=next((s for s, lv in enumerate(levels, start=1) if lv.dim == m_gen), None),
+        t_bar=len(levels) if stable else None,
+        truncated=not stable,
         generated_field_degree=m_gen,
     )
 

@@ -95,6 +95,15 @@ def test_span_s_max(capsys, tmp_path):
     assert rep["t"] is None and rep["truncated"] is True
 
 
+@pytest.mark.parametrize("s_max", ["0", "-1"])
+def test_span_s_max_below_one_is_a_usage_error(capsys, tmp_path, s_max):
+    f = trace_file(capsys, tmp_path)
+    code, out, err = run_cli(capsys, "span", str(f), "--s-max", s_max)
+    assert code == 64
+    assert out == ""
+    assert "s_max" in err
+
+
 def test_check_both_routes(capsys, tmp_path):
     f = trace_file(capsys, tmp_path)
     code, rep, _ = run_json(capsys, "check", str(f), "--method", "both")

@@ -9,6 +9,7 @@ from sidonspace.constructions import monomial
 from sidonspace.errors import BudgetError
 from sidonspace.field import FieldElement, find_generator, make_field
 from sidonspace.linalg import gaussian_binomial
+from sidonspace.sidon import audit_bounds
 from sidonspace.subspace import (
     Subspace,
     all_projective_points,
@@ -162,6 +163,15 @@ def test_span_chain_cap_reports_truncation():
     assert ch.truncated
     assert ch.t is None
     assert ch.t_bar is None
+
+
+@pytest.mark.parametrize("s_max", [0, -1])
+def test_span_chain_rejects_a_cap_below_one(s_max):
+    V = monomial(2, 3, 1, 4, 3).space
+    with pytest.raises(ValueError, match="s_max"):
+        span_chain(V, s_max=s_max)
+    with pytest.raises(ValueError, match="s_max"):
+        audit_bounds(V, s_max=s_max)
 
 
 def test_span_chain_stabilizing_at_the_cap():
