@@ -23,6 +23,11 @@ GOLDEN = [
     ("prop-trace-9", {"limit": 1}, "c41c8513e0f41949daed9f9258c1ccf82106c35e357044b7c92c45b0651f06a8"),
     ("sample-f2-9", {"samples": 200}, "7ea427ff2b6f86c5d5a7a62c2f853c25d1738a20fa52e5517120189bb348259f"),
     ("brset-316", {}, "fb99aeba4e8f903d94bbbf33a5686a625aed0163befd4464ea19d5d1ed15c14e"),
+    # with audits: every kneser-step and span-lower check reads the
+    # stabilizer degree of a chain level
+    ("table2", {"limit": 2, "collect_audits": True}, "e3a4824866c410c0e6ef9a4a84c5828b12fd7cf72ff58d0a328e5ad81ec9ce88"),
+    ("prop-f26", {"collect_audits": True}, "a22f1fc4135eaaeb06ee8763c098618535b6d791bb966341f7b9a921a5ec409a"),
+    ("brset-316", {"collect_audits": True}, "382d55f4a62e0a75958f477d2032431389409f19bf898b933bed380164f2866a"),
 ]
 
 # (p, n) -> modulus of make_field(p, 1, n) at seed 0, little-endian digits
@@ -50,7 +55,11 @@ MODULI = {
 }
 
 
-@pytest.mark.parametrize("name,params,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize(
+    "name,params,digest",
+    GOLDEN,
+    ids=[name + ("-audits" if params.get("collect_audits") else "") for name, params, _ in GOLDEN],
+)
 def test_report_digest(name, params, digest):
     report = run_experiment(ExperimentSpec(name, params, seed=0))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

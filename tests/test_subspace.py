@@ -241,6 +241,54 @@ def test_span_chain_t_and_field_degree_match_their_definitions(field, k, seed):
     assert ch.t == (hits[0] if hits else None)
 
 
+STABILIZER_FIELDS = [(2, 1, 12), (3, 1, 6), (2, 2, 4)]
+
+
+def _stabilizer_by_definition(V):
+    """Largest m | n with beta * V inside V for every nonzero beta of F_{q^m}."""
+    ctx = V.ctx
+    return max(
+        m
+        for m in ctx.subfield_degrees
+        if all(
+            V.contains_space(scale(V, FieldElement(ctx, b)))
+            for b in ctx.subfield_elements(m)[1:]
+        )
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    field=st.sampled_from(STABILIZER_FIELDS),
+    linear=st.booleans(),
+    pick=st.integers(0, 2**16),
+    j=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stabilizer_matches_its_definition(field, linear, pick, j, seed):
+    ctx = make_field(*field)
+    rng = np.random.default_rng(seed)
+    if linear:
+        # a sum of scaled copies of a proper subfield F_{q^m} is F_{q^m}-linear,
+        # so degrees above 1 occur; fewer than n/m copies keep it proper
+        proper = [m for m in ctx.subfield_degrees if m < ctx.n]
+        m = proper[pick % len(proper)]
+        V = None
+        for _ in range(1 + pick % max(1, ctx.n // m - 1)):
+            alpha = ctx.random_element(rng)
+            part = scale(subfield_space(ctx, m), alpha if not alpha.is_zero() else ctx.one)
+            V = part if V is None else sum_spaces(V, part)
+    else:
+        V = random_subspace(ctx, 1 + pick % (ctx.n - 1), rng)
+    h = stabilizer(V).degree
+    assert h == _stabilizer_by_definition(V)
+    alpha = ctx.random_element(rng)
+    if not alpha.is_zero():
+        assert stabilizer(scale(V, alpha)).degree == h
+    assert stabilizer(frob_image(V, j)).degree == h
+    assert stabilizer(frob_image(V, j, p_power=True)).degree == h
+
+
 def test_stabilizer_and_orbit_size():
     ctx = make_field(2, 1, 6)
     S = subfield_space(ctx, 3)
