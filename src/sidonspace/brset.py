@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, int_list
 from .field import DiscreteLogTable, FieldElement
 from .sidon import DEFAULT_BUDGET, is_r_sidon
 from .subspace import Subspace
@@ -46,7 +46,7 @@ class BrSet:
     @classmethod
     def from_dict(cls, d: dict) -> "BrSet":
         return cls(
-            elements=tuple(int(x) for x in d["elements"]),
+            elements=tuple(int_list(d["elements"], "B_r-set elements")),
             modulus=None if d.get("modulus") is None else int(d["modulus"]),
             r=int(d["r"]),
             verified=bool(d.get("verified", False)),

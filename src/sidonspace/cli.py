@@ -15,8 +15,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .brset import BrSet, extract_brset, is_br_set
 from .constructions import (
     _split_prime_power,
@@ -26,9 +24,9 @@ from .constructions import (
     monomial,
     trace_space,
 )
-from .errors import BudgetError, ConstructionError, NoSuchElementError
+from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list
 from .experiments import EXPERIMENTS, ExperimentSpec, _json_default, run_experiment
-from .field import FieldElement, field_from_spec, find_generator, make_field
+from .field import field_from_spec, find_generator, make_field
 from .orbit import orbit_report, semilinear_equivalent
 from .sidon import is_r_sidon, is_sidon_intersection
 from .subspace import Subspace, span_chain, stabilizer
@@ -74,10 +72,12 @@ def _load_subspace(path: str) -> Subspace:
     d = _load_json(path)
     if "space" in d and "basis" not in d:
         d = d["space"]
-    if "basis" not in d or "field" not in d:
-        raise ValueError(f"{path}: expected a subspace file with 'field' and 'basis'")
+    if "basis" not in d or "field" not in d or not isinstance(d["basis"], list):
+        raise ValueError(f"{path}: expected a subspace file with 'field' and a 'basis' list")
     ctx = _field_from_args(d["field"])
-    return Subspace(ctx, np.asarray(d["basis"], dtype=np.int64))
+    # reduced as Python ints, so negative and arbitrarily large entries are read mod p
+    rows = [[c % ctx.p for c in int_list(row, f"{path}: basis row")] for row in d["basis"]]
+    return Subspace(ctx, rows)
 
 
 def _load_brset(path: str) -> BrSet:
@@ -166,7 +166,7 @@ def _cmd_span(args) -> int:
         "t": chain.t,
         "t_bar": chain.t_bar,
         "truncated": chain.truncated,
-        "stabilizer_degrees": [stabilizer(lv).degree for lv in chain.levels],
+        "stabilizer_degrees": [stabilizer(lv) for lv in chain.levels],
     }
     _emit(report, args.out)
     return EXIT_MATCH
@@ -240,7 +240,7 @@ def _cmd_brset(args) -> int:
     V = _load_subspace(args.file)
     ctx = V.ctx
     if args.gamma:
-        gamma = FieldElement(ctx, np.asarray(_ints(args.gamma), dtype=np.int64))
+        gamma = ctx.element([c % ctx.p for c in _ints(args.gamma)])
     else:
         gamma = find_generator(ctx, primitive=True, seed=args.seed)
     bs = extract_brset(

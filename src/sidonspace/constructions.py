@@ -40,6 +40,8 @@ from .subspace import (
     product,
     scale,
     span,
+    span_chain,
+    stabilizer,
     subfield_space,
     sum_spaces,
 )
@@ -210,7 +212,8 @@ def monomial_decomposition_check(rec: ConstructionRecord) -> bool:
     ok = True
 
     f = LinearizedPoly.monomial(ctx, k, s)
-    Vr = power(V, r)
+    chain = span_chain(V)
+    Vr = chain.level(min(r, len(chain.levels)))  # a stable chain stays stable
     K = subfield_space(ctx, k)
     parts = [scale(K, gamma**i) for i in range(1, r)]
     parts.append(v_f_gamma(f, gamma**r))
@@ -220,12 +223,9 @@ def monomial_decomposition_check(rec: ConstructionRecord) -> bool:
     ok &= direct == Vr
     ok &= direct.dim == sum(part.dim for part in parts)
 
-    from .subspace import span_chain, stabilizer
-
-    chain = span_chain(V)
     for rr in range(2, t):
         if rr <= len(chain.levels):
-            ok &= stabilizer(chain.level(rr)).degree == 1
+            ok &= stabilizer(chain.level(rr)) == 1
     n = ctx.n
     sign = ctx.from_int((-1) ** n)
     expected_tbar = t + 1 if norm(gamma) == sign else t

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check on integer lists read from JSON, shared across the package."""
 
 
 class ConstructionError(RuntimeError):
@@ -29,3 +29,15 @@ class SupplyError(ConstructionError):
     def __init__(self, message: str, available: int | None = None):
         super().__init__(message)
         self.available = available
+
+
+def int_list(values, what: str) -> list:
+    """``values`` itself if it is a list of integers, else ValueError.
+
+    Lists read from JSON pass through here before int() or numpy sees them:
+    int() truncates floats and takes bools, numpy fails on dicts and on
+    integers beyond int64.
+    """
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be a list of integers")
+    return values

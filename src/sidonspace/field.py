@@ -53,6 +53,8 @@ class FieldCtx:
         self.q = self.p**self.a
         self.order = self.q**self.n
         self.seed = int(seed)
+        #: the degrees m of the subfields F_{q^m}: the divisors of n, ascending
+        self.subfield_degrees = tuple(int(d) for d in divisors(self.n))
         mod = np.asarray(modulus, dtype=np.int64) % p
         if mod.ndim != 1 or len(mod) != self.dim + 1:
             raise ConstructionError(
@@ -247,29 +249,31 @@ class FieldCtx:
         return self.combinations(self.subfield_fp_basis(m))
 
     def subfield_generator(self, m: int) -> np.ndarray:
-        """A deterministic element with F_q(xi) = F_{q^m}."""
+        """A deterministic element with F_p(xi) = F_{q^m}, hence F_q(xi) = F_{q^m}.
+
+        For m = 1 and q > p, xi generates F_q over F_p, so xi * V inside V
+        tests a row space for F_q-closure.
+        """
         if m not in self._subfield_gen:
-            if m == 1:
-                gen = self.one_vec
-            else:
-                basis = self.subfield_fp_basis(m)
-                proper = [m // ell for ell in factorint(m)]
-                cands = [basis[i] for i in range(basis.shape[0])]
-                cands.append(basis.sum(axis=0) % self.p)
-                rng = np.random.default_rng((self.p, self.a, self.n, self.seed, m, 0x5F))
-                gen = None
-                for _ in range(1024):
-                    for c in cands:
-                        if not c.any():
-                            continue
-                        if all(not (self.frob_q(c, mp) == c).all() for mp in proper):
-                            gen = np.asarray(c, dtype=np.int64)
-                            break
-                    if gen is not None:
+            basis = self.subfield_fp_basis(m)
+            d = self.a * m
+            proper = [d // ell for ell in factorint(d)]
+            cands = [basis[i] for i in range(basis.shape[0])]
+            cands.append(basis.sum(axis=0) % self.p)
+            rng = np.random.default_rng((self.p, self.a, self.n, self.seed, m, 0x5F))
+            gen = None
+            for _ in range(1024):
+                for c in cands:
+                    if not c.any():
+                        continue
+                    if all(not (self.frob_p(c, dp) == c).all() for dp in proper):
+                        gen = np.asarray(c, dtype=np.int64)
                         break
-                    cands = [rng.integers(0, self.p, basis.shape[0], dtype=np.int64) @ basis % self.p]
-                if gen is None:
-                    raise NoSuchElementError(f"no generator found for subfield degree {m}")
+                if gen is not None:
+                    break
+                cands = [rng.integers(0, self.p, basis.shape[0], dtype=np.int64) @ basis % self.p]
+            if gen is None:
+                raise NoSuchElementError(f"no generator found for subfield degree {m}")
             gen = np.array(gen, dtype=np.int64)
             gen.setflags(write=False)
             self._subfield_gen[m] = gen
@@ -309,10 +313,6 @@ class FieldCtx:
         return out
 
     # -- misc ---------------------------------------------------------------------------
-
-    @property
-    def subfield_degrees(self) -> list[int]:
-        return [int(d) for d in divisors(self.n)]
 
     def group_factorization(self) -> dict[int, int]:
         """Prime factorization of q^n - 1 (cached)."""

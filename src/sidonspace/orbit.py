@@ -88,7 +88,7 @@ def orbit_report(V: Subspace) -> OrbitReport:
         raise AssertionError("stabilizer class count does not divide the point count")
     orbit_size = npts // stab_classes
 
-    h = stabilizer(V).degree
+    h = stabilizer(V)
     if stab_classes != (ctx.q**h - 1) // (ctx.q - 1):
         raise AssertionError("sweep stabilizer count disagrees with the stabilizer subfield")
     if orbit_size != (ctx.order - 1) // (ctx.q**h - 1):

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from sympy import isprime
 
 from .errors import BudgetError
 from .field import FieldElement
@@ -305,7 +306,7 @@ def audit_bounds(
     chain = span_chain(W, s_max=s_max)
     k = W.dim
     n = ctx.n
-    hs = tuple(stabilizer(lv).degree for lv in chain.levels)
+    hs = tuple(stabilizer(lv) for lv in chain.levels)
     checks: list[BoundCheck] = []
 
     for s, lv in enumerate(chain.levels, start=1):
@@ -364,8 +365,6 @@ def audit_bounds(
                     hypothesis=f"sidon:{sidon_source or 'asserted'}",
                 )
             )
-        from sympy import isprime
-
         if isprime(n):
             for s in range(2, min(t - 1, len(chain.levels)) + 1):
                 cur = chain.levels[s - 1].dim

@@ -292,3 +292,48 @@ def test_parser_level_errors_use_64(capsys, tmp_path):
         main(["no-such-command"])
     assert ei.value.code == 64
     capsys.readouterr()
+
+
+F2_3 = {"p": 2, "n": 3}
+
+
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (["span", "FILE"], {"field": F2_3, "basis": [[1, {}, 0]]}, "basis row"),
+        (["orbit", "FILE"], {"field": F2_3, "basis": 7}, "'basis' list"),
+        (["check", "FILE"], {"field": F2_3, "basis": [[1, 1.7, 0]]}, "basis row"),
+        (["equiv", "FILE", "FILE"], {"field": F2_3, "basis": [[True, 0, 0]]}, "basis row"),
+        (["brset", "extract", "FILE"], {"field": F2_3, "basis": [[1, 0.0, 0]]}, "basis row"),
+        (["brset", "verify", "FILE"], {"elements": [1, 2.5, 7], "r": 2}, "elements"),
+        (["brset", "verify", "FILE"], {"elements": 5, "r": 2}, "elements"),
+        (["brset", "verify", "FILE"], {"elements": [1, {"x": 2}, 7], "r": 2}, "elements"),
+        # one F_2-row does not span an F_4-subspace
+        (["check", "FILE"], {"field": {"p": 2, "a": 2, "n": 3}, "basis": [[1, 0, 0, 0, 0, 0]]}, "F_q-closed"),
+        (
+            ["brset", "extract", "FILE", "--gamma", "0,1,0,1"],
+            {"field": F2_3, "basis": [[1, 0, 0]]},
+            "too many coefficients",
+        ),
+    ],
+    ids=["dict-entry", "scalar-basis", "float-entry", "bool-entry", "float-extract",
+         "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma"],
+)
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 64
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("entry", [10**23 + 1, -1])
+def test_basis_entries_are_read_mod_p(capsys, tmp_path, entry):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"field": F2_3, "basis": [[entry, 0, 1]]}))
+    g = tmp_path / "reduced.json"
+    g.write_text(json.dumps({"field": F2_3, "basis": [[1, 0, 1]]}))
+    code, rep, _ = run_json(capsys, "span", str(f))
+    assert code == 0
+    assert run_json(capsys, "span", str(g))[1] == rep
