@@ -249,11 +249,7 @@ class FieldCtx:
         return self.combinations(self.subfield_fp_basis(m))
 
     def subfield_generator(self, m: int) -> np.ndarray:
-        """A deterministic element with F_p(xi) = F_{q^m}, hence F_q(xi) = F_{q^m}.
-
-        For m = 1 and q > p, xi generates F_q over F_p, so xi * V inside V
-        tests a row space for F_q-closure.
-        """
+        """A deterministic element with F_p(xi) = F_{q^m}, hence F_q(xi) = F_{q^m}."""
         if m not in self._subfield_gen:
             basis = self.subfield_fp_basis(m)
             d = self.a * m
