@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sidonspace.errors import SupplyError
 from sidonspace.field import make_field, prime_ctx, random_irreducibles
@@ -12,6 +13,7 @@ from sidonspace.gfpoly import (
     is_irreducible,
     pdivmod,
     pgcd,
+    pmod,
     pmul,
     random_monic,
     x_power_table,
@@ -134,6 +136,70 @@ def test_x_power_table_matches_sympy():
             rem = sympy.rem(sympy.Poly(x ** (start + step * i), x, modulus=5), f)
             want = [int(v) % 5 for v in reversed(rem.all_coeffs())]
             assert table[i, :, 0].tolist() == want + [0] * (7 - len(want))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_is_irreducible_matches_sympy_up_to_degree_40(p, data):
+    d = data.draw(st.integers(1, 40), label="degree")
+    c = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1), label="coeffs")
+    c[d] = data.draw(st.integers(1, p - 1), label="lead")  # any nonzero leading coefficient
+    want = sympy.Poly(c[::-1], sympy.symbols("x"), modulus=p).is_irreducible
+    assert is_irreducible(prime_ctx(p), _coeff_array(c)) is want
+
+
+SCALAR_FIELDS = {
+    "F2": lambda: prime_ctx(2),
+    "F3": lambda: prime_ctx(3),
+    "F5": lambda: prime_ctx(5),
+    "F4": lambda: make_field(2, 2, 1),
+    "F9": lambda: make_field(3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_FIELDS))
+def test_is_irreducible_rejects_powers_and_products(name):
+    # g^2 and g^3 have no root-free factor the fixed-space count alone would
+    # catch; they are refused because they do not divide x^(q^m) - x
+    scal = SCALAR_FIELDS[name]()
+    rng = np.random.default_rng(5)
+    for dg, dh in [(1, 1), (1, 2), (2, 3), (3, 2)]:
+        g = irreducible_search(scal, dg, rng)
+        h = irreducible_search(scal, dh, rng)
+        if dg == dh and (g == h).all():
+            continue
+        assert is_irreducible(scal, g) and is_irreducible(scal, h)
+        g2 = pmul(scal, g, g)
+        for f in (g2, pmul(scal, g2, g), pmul(scal, g, h)):
+            assert is_irreducible(scal, f) is False, (name, f.tolist())
+
+
+def _x_powers_by_multiplication(scal, f, start, step, count):
+    x = np.zeros((2, scal.dim), dtype=np.int64)
+    x[1] = scal.one_vec
+    out = []
+    cur = pmod(scal, x[1:], f)  # the constant 1
+    for e in range(start + step * (count - 1) + 1):
+        if e >= start and (e - start) % step == 0:
+            row = np.zeros((f.shape[0] - 1, scal.dim), dtype=np.int64)
+            row[: cur.shape[0]] = cur
+            out.append(row)
+        cur = pmod(scal, pmul(scal, cur, x), f)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name,degree,lead", [("F4", 5, 1), ("F9", 4, 1), ("F5", 6, 3)])
+def test_x_power_table_matches_repeated_multiplication(name, degree, lead):
+    scal = SCALAR_FIELDS[name]()
+    rng = np.random.default_rng(degree)
+    f = rng.integers(0, scal.p, (degree + 1, scal.dim), dtype=np.int64)
+    f[degree] = 0
+    f[degree, 0] = lead  # lead 3 over F_5: a non-monic modulus
+    f[0, 0] = 1
+    for start, step, count in [(0, scal.order, degree), (degree, 1, degree - 1), (3, 7, 5), (0, 1, 1)]:
+        table = x_power_table(scal, f, start, step, count)
+        assert table.shape == (count, degree, scal.dim)
+        assert (table == _x_powers_by_multiplication(scal, f, start, step, count)).all()
 
 
 def _brute_irreducible_count_over(scal, d):
