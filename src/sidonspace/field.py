@@ -21,7 +21,7 @@ from sympy import divisors, factorint, isprime
 
 from . import gfpoly
 from .errors import BudgetError, ConstructionError, NoSuchElementError
-from .linalg import inverse_table, right_nullspace, rref
+from .linalg import inverse_table, mat_pow, right_nullspace, rref
 
 _CTX_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
@@ -75,10 +75,7 @@ class FieldCtx:
         else:  # prime_ctx builds these contexts, so their tables are written out
             self._red = np.zeros((0, 1), dtype=np.int64)
             self._frob_p_mat = np.eye(1, dtype=np.int64)
-        self._pow_mats: dict[int, np.ndarray] = {
-            0: np.eye(self.dim, dtype=np.int64),
-            1: self._frob_p_mat,
-        }
+        self._pow_mats: dict[int, np.ndarray] = {}
         self._subfield_basis: dict[int, np.ndarray] = {}
         self._subfield_gen: dict[int, np.ndarray] = {}
         self._group_factors: dict[int, int] | None = None
@@ -188,11 +185,7 @@ class FieldCtx:
         """Matrix of x -> x^(p^i) for right multiplication, cached."""
         i %= self.dim
         if i not in self._pow_mats:
-            prev = max(j for j in self._pow_mats if j <= i)
-            M = self._pow_mats[prev]
-            for _ in range(i - prev):
-                M = (M @ self._frob_p_mat) % self.p
-            self._pow_mats[i] = M
+            self._pow_mats[i] = mat_pow(self._frob_p_mat, i, self.p)
         return self._pow_mats[i]
 
     def frob_p(self, U: np.ndarray, i: int = 1) -> np.ndarray:

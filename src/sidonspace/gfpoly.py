@@ -6,10 +6,11 @@ vectors). A polynomial is stored little-endian as a (ncoeff x scalar_dim)
 int64 array with no trailing zero coefficient; the zero polynomial is the
 (0 x scalar_dim) array.
 
-Only what the package needs is implemented: ring operations, gcd, modular
-exponentiation, tables of powers of x modulo f, Ben-Or's irreducibility
-test over the Frobenius (q-power) matrix, counting, and seeded random
-search for monic irreducibles.
+Only what the package needs is implemented: ring operations, division
+with remainder, and, from one F_p-matrix of multiplication by x modulo f,
+tables of powers of x modulo f and Berlekamp's irreducibility test over
+the Frobenius (q-power) matrix; then counting and seeded random search for
+monic irreducibles.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from sympy import divisors, mobius
 
 from .errors import NoSuchElementError, SupplyError
+from .linalg import mat_pow, rank
 
 
 def _norm(c: np.ndarray) -> np.ndarray:
@@ -63,13 +65,6 @@ def pmul(ctx, f, g):
     return _norm(full)
 
 
-def pscale(ctx, c, f):
-    """Multiply every coefficient of f by scalar-field element c (vector)."""
-    if f.shape[0] == 0:
-        return f
-    return _norm(ctx.mul_many(np.broadcast_to(c, (f.shape[0], ctx.dim)), f))
-
-
 def pdivmod(ctx, f, g):
     if g.shape[0] == 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -93,35 +88,36 @@ def pmod(ctx, f, g):
     return pdivmod(ctx, f, g)[1]
 
 
-def pgcd(ctx, f, g):
-    """Monic gcd."""
-    a, b = _norm(f), _norm(g)
-    while b.shape[0]:
-        a, b = b, pmod(ctx, a, b)
-    if a.shape[0]:
-        a = pscale(ctx, ctx.inv(a[-1]), a)
-    return a
-
-
-def ppow_mod(ctx, f, e: int, mod):
-    """f**e mod ``mod`` by square-and-multiply; e is a nonnegative Python int."""
-    assert e >= 0
-    result = np.zeros((1, ctx.dim), dtype=np.int64)
-    result[0] = ctx.one_vec
-    base = pmod(ctx, f, mod)
-    while e:
-        if e & 1:
-            result = pmod(ctx, pmul(ctx, result, base), mod)
-        e >>= 1
-        if e:
-            base = pmod(ctx, pmul(ctx, base, base), mod)
-    return result
-
-
 def _x_poly(ctx):
     c = np.zeros((2, ctx.dim), dtype=np.int64)
     c[1] = ctx.one_vec
     return c
+
+
+def _x_power_coords(ctx, f, start: int, step: int, count: int) -> np.ndarray:
+    """(count x a x a*m) array; entry [i, t] holds e_t x^(start + step*i) mod f.
+
+    f has degree m >= 1 over F_q = ``ctx`` (a = ctx.dim) and any nonzero
+    leading coefficient. F_q[x]/(f) is an F_p-space with basis e_t x^j
+    (j < m, t < a), coordinate (j, t) at index j*a + t, where e_t is the
+    t-th F_p-basis vector of F_q. C is the matrix of h -> x*h acting on
+    coordinate rows, so the rows e_t x^k are the first a rows of C^k.
+    """
+    f = _norm(f)
+    m, a, p = pdeg(f), ctx.dim, ctx.p
+    f = ctx.mul_many(np.broadcast_to(ctx.inv(f[-1]), f.shape), f)  # monic
+    C = np.zeros((a * m, a * m), dtype=np.int64)
+    C[: a * (m - 1), a:] = np.eye(a * (m - 1), dtype=np.int64)  # e_t x^j -> e_t x^(j+1)
+    # e_t x^m = -e_t (f_0 + ... + f_(m-1) x^(m-1))
+    low = ctx.mul_many(np.repeat(np.eye(a, dtype=np.int64), m, axis=0), np.tile(f[:m], (a, 1)))
+    C[a * (m - 1) :] = -low.reshape(a, a * m) % p
+    out = np.empty((count, a, a * m), dtype=np.int64)
+    rows = mat_pow(C, start, p)[:a]
+    S = mat_pow(C, step, p)
+    for i in range(count):
+        out[i] = rows
+        rows = rows @ S % p
+    return out
 
 
 def x_power_table(ctx, f, start: int, step: int, count: int) -> np.ndarray:
@@ -130,39 +126,36 @@ def x_power_table(ctx, f, start: int, step: int, count: int) -> np.ndarray:
     Each entry is the little-endian coefficient array of the remainder,
     padded with zero coefficients to deg f rows.
     """
-    m = pdeg(f)
-    out = np.zeros((count, m, ctx.dim), dtype=np.int64)
-    cur = ppow_mod(ctx, _x_poly(ctx), start, f)
-    x_step = ppow_mod(ctx, _x_poly(ctx), step, f)
-    for i in range(count):
-        if i:
-            cur = pmod(ctx, pmul(ctx, cur, x_step), f)
-        out[i, : cur.shape[0]] = cur
-    return out
+    table = _x_power_coords(ctx, f, start, step, count)[:, 0]
+    return table.reshape(count, pdeg(_norm(f)), ctx.dim)
 
 
 def is_irreducible(ctx, f) -> bool:
-    """Ben-Or's test for a polynomial over the scalar field F_q of ``ctx``.
+    """Berlekamp's test for a polynomial over the scalar field F_q of ``ctx``.
 
-    f of degree m is irreducible exactly when gcd(x^(q^i) - x, f) = 1 for
-    every i <= m/2. Each x^(q^i) mod f comes from the previous one through
-    the q-power matrix Q[j] = x^(q*j) mod f: every coefficient c of F_q has
-    c^q = c, so (sum_j c_j x^j)^q = sum_j c_j Q[j].
+    For f of degree m, M is the F_p-matrix of the Frobenius h -> h^q on
+    F_q[x]/(f): every coefficient c of F_q has c^q = c, so row (j, t) of M
+    holds e_t x^(q*j) mod f. f is irreducible exactly when
+      - x^(q^m) = x mod f, that is, f divides the squarefree x^(q^m) - x;
+        this rules out every f with a repeated factor, such as g^e, and
+      - rank(M - I) = a(m - 1): for a squarefree f, the F_q-dimension of
+        the fixed space of M is the number of irreducible factors of f
+        (Berlekamp, Math. Comp. 24, 1970), so exactly one factor is left.
+    The first condition is checked first, because it is cheap.
     """
     f = _norm(f)
-    m = pdeg(f)
+    m, a = pdeg(f), ctx.dim
     if m <= 1:
         return m == 1
-    Q = x_power_table(ctx, f, 0, ctx.order, m).reshape(m * m, ctx.dim)
-    x = _x_poly(ctx)
-    h = np.zeros((m, ctx.dim), dtype=np.int64)  # x^(q^i) mod f, padded to m rows
-    h[:2] = x
-    for _ in range(m // 2):
-        terms = ctx.mul_many(np.repeat(h, m, axis=0), Q)
-        h = terms.reshape(m, m, ctx.dim).sum(axis=0) % ctx.p
-        if pdeg(pgcd(ctx, psub(ctx, h, x), f)) != 0:
-            return False
-    return True
+    M = _x_power_coords(ctx, f, 0, ctx.order, m).reshape(a * m, a * m)
+    x = np.zeros(a * m, dtype=np.int64)
+    x[a] = 1  # coordinates of x: (j, t) = (1, 0)
+    h = x
+    for _ in range(m):
+        h = h @ M % ctx.p
+    if (h != x).any():
+        return False
+    return rank(M - np.eye(a * m, dtype=np.int64), ctx.p) == a * (m - 1)
 
 
 def count_monic_irreducibles(q: int, d: int) -> int:

@@ -7,6 +7,7 @@ elimination: :func:`rref` and :func:`rank` run it on one matrix,
 :func:`batch_rank` on a whole stack. Its output is the canonical RREF
 (unit pivots, zeros above and below each pivot, rows ordered by pivot
 column), so two equal row spaces always produce byte-identical bases.
+:func:`mat_pow` is the one matrix power.
 """
 
 from __future__ import annotations
@@ -175,6 +176,20 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         Length-B int64 array of ranks.
     """
     return _gauss_jordan(np.array(mats, dtype=np.int64) % p, p)
+
+
+def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A^e over F_p by square-and-multiply; A is square, e a nonnegative Python int."""
+    assert e >= 0
+    result = np.eye(A.shape[0], dtype=np.int64)
+    base = np.asarray(A, dtype=np.int64) % p
+    while e:
+        if e & 1:
+            result = result @ base % p
+        e >>= 1
+        if e:
+            base = base @ base % p
+    return result
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -12,7 +12,6 @@ from sidonspace.gfpoly import (
     irreducible_supply,
     is_irreducible,
     pdivmod,
-    pgcd,
     pmod,
     pmul,
     random_monic,
@@ -64,19 +63,6 @@ def test_pdivmod_matches_sympy():
         gq, gr = _to_ints(q), _to_ints(r)
         assert (gq + [0] * 8)[: len(want_q)] == want_q
         assert (gr + [0] * 8)[: len(want_r)] == want_r
-
-
-def test_pgcd_divides_both_and_is_monic():
-    h = _coeff_array([1, 1, 1])
-    f = pmul(F2, h, _coeff_array([1, 1]))
-    g = pmul(F2, h, _coeff_array([0, 1]))
-    d = pgcd(F2, f, g)
-    assert _to_ints(d)[-1] == 1
-    _, r1 = pdivmod(F2, f, d)
-    _, r2 = pdivmod(F2, g, d)
-    assert not r1.any() and not r2.any()
-    # 1 + x + x^2 is irreducible over F_2 so it is the whole gcd here
-    assert _to_ints(d) == [1, 1, 1]
 
 
 def _brute_irreducible_count(q, d):
@@ -200,6 +186,18 @@ def test_x_power_table_matches_repeated_multiplication(name, degree, lead):
         table = x_power_table(scal, f, start, step, count)
         assert table.shape == (count, degree, scal.dim)
         assert (table == _x_powers_by_multiplication(scal, f, start, step, count)).all()
+
+
+def test_make_field_divides_no_polynomials(monkeypatch):
+    from sidonspace import field, gfpoly
+
+    def refuse(*args):
+        raise AssertionError("pdivmod called")
+
+    monkeypatch.setattr(gfpoly, "pdivmod", refuse)
+    monkeypatch.setattr(field, "_CTX_CACHE", {})
+    assert make_field(3, 1, 25).dim == 25
+    assert make_field(2, 2, 5).dim == 10
 
 
 def _brute_irreducible_count_over(scal, d):
