@@ -88,35 +88,25 @@ def pmod(ctx, f, g):
     return pdivmod(ctx, f, g)[1]
 
 
-def _x_poly(ctx):
-    c = np.zeros((2, ctx.dim), dtype=np.int64)
-    c[1] = ctx.one_vec
-    return c
-
-
 def _x_power_coords(ctx, f, start: int, step: int, count: int) -> np.ndarray:
     """(count x a x a*m) array; entry [i, t] holds e_t x^(start + step*i) mod f.
 
-    f has degree m >= 1 over F_q = ``ctx`` (a = ctx.dim) and any nonzero
-    leading coefficient. F_q[x]/(f) is an F_p-space with basis e_t x^j
-    (j < m, t < a), coordinate (j, t) at index j*a + t, where e_t is the
-    t-th F_p-basis vector of F_q. C is the matrix of h -> x*h acting on
-    coordinate rows, so the rows e_t x^k are the first a rows of C^k.
+    f has degree m >= 1 over F_q = ``ctx`` (a = ctx.dim), e_t is the t-th
+    F_p-basis vector of F_q, and F_q[x]/(f) has the F_p-basis e_t x^j with
+    (j, t) at index j*a + t. C, the matrix of h -> x*h on coordinate rows,
+    has the rows e_t x^k as the first a rows of C^k.
     """
     f = _norm(f)
     m, a, p = pdeg(f), ctx.dim, ctx.p
     f = ctx.mul_many(np.broadcast_to(ctx.inv(f[-1]), f.shape), f)  # monic
-    C = np.zeros((a * m, a * m), dtype=np.int64)
-    C[: a * (m - 1), a:] = np.eye(a * (m - 1), dtype=np.int64)  # e_t x^j -> e_t x^(j+1)
+    C = np.eye(a * m, k=a, dtype=np.int64)  # e_t x^j -> e_t x^(j+1) for j < m-1
     # e_t x^m = -e_t (f_0 + ... + f_(m-1) x^(m-1))
     low = ctx.mul_many(np.repeat(np.eye(a, dtype=np.int64), m, axis=0), np.tile(f[:m], (a, 1)))
     C[a * (m - 1) :] = -low.reshape(a, a * m) % p
+    rows, S = mat_pow(C, start, p)[:a], mat_pow(C, step, p)
     out = np.empty((count, a, a * m), dtype=np.int64)
-    rows = mat_pow(C, start, p)[:a]
-    S = mat_pow(C, step, p)
     for i in range(count):
-        out[i] = rows
-        rows = rows @ S % p
+        out[i], rows = rows, rows @ S % p
     return out
 
 
@@ -126,36 +116,31 @@ def x_power_table(ctx, f, start: int, step: int, count: int) -> np.ndarray:
     Each entry is the little-endian coefficient array of the remainder,
     padded with zero coefficients to deg f rows.
     """
-    table = _x_power_coords(ctx, f, start, step, count)[:, 0]
-    return table.reshape(count, pdeg(_norm(f)), ctx.dim)
+    return _x_power_coords(ctx, f, start, step, count)[:, 0].reshape(count, pdeg(_norm(f)), ctx.dim)
 
 
 def is_irreducible(ctx, f) -> bool:
     """Berlekamp's test for a polynomial over the scalar field F_q of ``ctx``.
 
-    For f of degree m, M is the F_p-matrix of the Frobenius h -> h^q on
-    F_q[x]/(f): every coefficient c of F_q has c^q = c, so row (j, t) of M
-    holds e_t x^(q*j) mod f. f is irreducible exactly when
-      - x^(q^m) = x mod f, that is, f divides the squarefree x^(q^m) - x;
-        this rules out every f with a repeated factor, such as g^e, and
-      - rank(M - I) = a(m - 1): for a squarefree f, the F_q-dimension of
-        the fixed space of M is the number of irreducible factors of f
-        (Berlekamp, Math. Comp. 24, 1970), so exactly one factor is left.
-    The first condition is checked first, because it is cheap.
+    M is the F_p-matrix of the Frobenius h -> h^q on F_q[x]/(f), deg f = m:
+    c^q = c for c in F_q, so row (j, t) holds e_t x^(q*j) mod f. f is
+    irreducible exactly when
+      - x^(q^m) = x mod f (checked first, as it is cheap): f divides the
+        squarefree x^(q^m) - x, which rules out repeated factors such as g^e;
+      - rank(M - I) = a(m - 1): for a squarefree f, the F_q-dimension of the
+        fixed space of M is the number of irreducible factors of f
+        (Berlekamp, Math. Comp. 24, 1970).
     """
     f = _norm(f)
     m, a = pdeg(f), ctx.dim
     if m <= 1:
         return m == 1
     M = _x_power_coords(ctx, f, 0, ctx.order, m).reshape(a * m, a * m)
-    x = np.zeros(a * m, dtype=np.int64)
-    x[a] = 1  # coordinates of x: (j, t) = (1, 0)
-    h = x
+    I = np.eye(a * m, dtype=np.int64)
+    h = I[a]  # x, at (j, t) = (1, 0)
     for _ in range(m):
         h = h @ M % ctx.p
-    if (h != x).any():
-        return False
-    return rank(M - np.eye(a * m, dtype=np.int64), ctx.p) == a * (m - 1)
+    return not (h != I[a]).any() and rank(M - I, ctx.p) == a * (m - 1)
 
 
 def count_monic_irreducibles(q: int, d: int) -> int:
@@ -177,16 +162,15 @@ def random_monic(ctx, degree: int, rng: np.random.Generator):
     return _norm(c)
 
 
-def irreducible_search(ctx, degree: int, rng: np.random.Generator, max_tries: int | None = None):
-    """Seeded random search for a monic irreducible of the given degree."""
+def irreducible_search(ctx, degree: int, rng: np.random.Generator):
+    """Seeded random search for a monic irreducible of the given degree, 256*degree tries."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    tries = max_tries if max_tries is not None else 256 * degree
-    for _ in range(tries):
+    for _ in range(256 * degree):
         cand = random_monic(ctx, degree, rng)
         if is_irreducible(ctx, cand):
             return cand
-    raise NoSuchElementError(f"no irreducible of degree {degree} found in {tries} tries")
+    raise NoSuchElementError(f"no irreducible of degree {degree} found in {256 * degree} tries")
 
 
 class Poly:
@@ -215,7 +199,7 @@ class Poly:
 
     @classmethod
     def x(cls, field) -> "Poly":
-        return cls(field, _x_poly(field))
+        return cls(field, np.eye(2, field.dim, -1, dtype=np.int64))
 
     @property
     def degree(self) -> int:
