@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, int_list
+from .errors import BudgetError, int_list, int_scalar
 from .field import DiscreteLogTable, FieldElement
 from .sidon import DEFAULT_BUDGET, is_r_sidon
 from .subspace import Subspace
@@ -47,8 +47,8 @@ class BrSet:
     def from_dict(cls, d: dict) -> "BrSet":
         return cls(
             elements=tuple(int_list(d["elements"], "B_r-set elements")),
-            modulus=None if d.get("modulus") is None else int(d["modulus"]),
-            r=int(d["r"]),
+            modulus=None if d.get("modulus") is None else int_scalar(d["modulus"], "modulus"),
+            r=int_scalar(d["r"], "r"),
             verified=bool(d.get("verified", False)),
         )
 

@@ -17,16 +17,15 @@ import sys
 
 from .brset import BrSet, extract_brset, is_br_set
 from .constructions import (
-    _split_prime_power,
     binomial_family,
     maxspan_from_brset,
     maxspan_from_irreducibles,
     monomial,
     trace_space,
 )
-from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list
+from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
 from .experiments import EXPERIMENTS, ExperimentSpec, _json_default, run_experiment
-from .field import field_from_spec, find_generator, make_field
+from .field import field_from_spec, find_generator, make_field, split_prime_power
 from .orbit import orbit_report, semilinear_equivalent
 from .sidon import is_r_sidon, is_sidon_intersection
 from .subspace import Subspace, span_chain, stabilizer
@@ -56,22 +55,28 @@ def _emit(report: dict | str, out: str | None) -> None:
             fh.write(text)
 
 
+def _json_object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return d
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _json_object(json.load(fh), path)
 
 
 def _field_from_args(d: dict):
-    if "p" in d:
-        return field_from_spec(d)
-    p, a = _split_prime_power(int(d["q"]))
-    return make_field(p, a, int(d["n"]), modulus=d.get("modulus"))
+    if "p" not in _json_object(d, "'field'"):
+        p, a = split_prime_power(int_scalar(d["q"], "q"))
+        d = {"p": p, "a": a, "n": d["n"], "modulus": d.get("modulus")}
+    return field_from_spec(d)
 
 
 def _load_subspace(path: str) -> Subspace:
     d = _load_json(path)
     if "space" in d and "basis" not in d:
-        d = d["space"]
+        d = _json_object(d["space"], f"{path}: 'space'")
     if "basis" not in d or "field" not in d or not isinstance(d["basis"], list):
         raise ValueError(f"{path}: expected a subspace file with 'field' and a 'basis' list")
     ctx = _field_from_args(d["field"])
@@ -83,7 +88,7 @@ def _load_subspace(path: str) -> Subspace:
 def _load_brset(path: str) -> BrSet:
     d = _load_json(path)
     if "brset" in d:
-        d = d["brset"]
+        d = _json_object(d["brset"], f"{path}: 'brset'")
     return BrSet.from_dict(d)
 
 
@@ -95,7 +100,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_field(args) -> int:
-    p, a = _split_prime_power(args.q)
+    p, a = split_prime_power(args.q)
     ctx = make_field(p, a, args.n)
     gen = find_generator(
         ctx, over_m=args.over, primitive=args.primitive, seed=args.seed
@@ -291,7 +296,7 @@ def _cmd_experiment(args) -> int:
         params["samples"] = args.samples
     if args.collect_audits:
         params["collect_audits"] = True
-    spec = ExperimentSpec(args.name, params, seed=args.seed, out=args.out)
+    spec = ExperimentSpec(args.name, params, seed=args.seed)
     report = run_experiment(spec)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.out)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint
 
 from . import gfpoly
 from .errors import ConstructionError, NoSuchElementError
@@ -30,6 +29,7 @@ from .field import (
     norm,
     prime_ctx,
     random_irreducibles,
+    split_prime_power,
 )
 from .linalg import rank
 from .qpoly import LinearizedPoly, is_scattered, v_f_gamma
@@ -95,14 +95,6 @@ class ConstructionRecord:
         }
 
 
-def _split_prime_power(q: int) -> tuple[int, int]:
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    ((p, a),) = fac.items()
-    return int(p), int(a)
-
-
 def _as_subfield_element(ctx: FieldCtx, k: int, value, what: str) -> FieldElement:
     if isinstance(value, FieldElement):
         el = value if value.ctx == ctx else ctx.element(value.coeffs)
@@ -139,7 +131,7 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
         raise ConstructionError("r must be >= 2")
     if t < r:
         raise ConstructionError(f"t={t} < r={r}: no variant of the construction applies")
-    p, a = _split_prime_power(q)
+    p, a = split_prime_power(q)
     n = k * t
     ctx = make_field(p, a, n, seed=seed)
     gamma = None
@@ -253,7 +245,7 @@ def binomial_family(
     """
     if variant not in ("mid", "end"):
         raise ValueError(f"variant must be 'mid' or 'end', got {variant!r}")
-    p, a = _split_prime_power(q)
+    p, a = split_prime_power(q)
     n = k * t
     ctx = make_field(p, a, n, seed=seed)
     e2 = (2 * s) % k if variant == "mid" else (s * (k - 1)) % k
@@ -321,7 +313,7 @@ def trace_space(q: int, k: int, t: int, *, gamma=None, seed: int = 0) -> Constru
     """
     if t < 2:
         raise ConstructionError("t must be >= 2")
-    p, a = _split_prime_power(q)
+    p, a = split_prime_power(q)
     n = k * t
     ctx = make_field(p, a, n, seed=seed)
     if gamma is None:
@@ -379,7 +371,7 @@ def maxspan_from_brset(
     ok, witness = is_br_set(S, r)
     if not ok:
         raise ConstructionError(f"S is not a B_{r}-set: {witness}")
-    p, a = _split_prime_power(q)
+    p, a = split_prime_power(q)
     ctx = make_field(p, a, n, seed=seed)
     if gamma is None:
         gamma_el = find_generator(ctx, over_m=1, seed=seed)
@@ -422,7 +414,7 @@ def maxspan_from_irreducibles(
     """
     if not 1 < r < k:
         raise ConstructionError(f"need 1 < r < k, got r={r}, k={k}")
-    p, a = _split_prime_power(q)
+    p, a = split_prime_power(q)
     M = math.comb(k + r - 1, r)
     if irreducibles is None:
         delta_deg = 1

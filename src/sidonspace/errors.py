@@ -1,4 +1,4 @@
-"""Exception types, and the check on integer lists read from JSON, shared across the package."""
+"""Exception types, and the checks on integers read from JSON, shared across the package."""
 
 
 class ConstructionError(RuntimeError):
@@ -41,3 +41,10 @@ def int_list(values, what: str) -> list:
     if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ValueError(f"{what} must be a list of integers")
     return values
+
+
+def int_scalar(value, what: str) -> int:
+    """``value`` itself if it is an integer, else ValueError (see :func:`int_list`)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer")
+    return value

@@ -57,12 +57,11 @@ SAMPLE_BANDS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment plus overrides, seed, and optional output path."""
+    """A named experiment, its parameter overrides and its seed."""
 
     name: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    out: str | None = None
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 from sympy import divisors, factorint, isprime
 
 from . import gfpoly
-from .errors import BudgetError, ConstructionError, NoSuchElementError
+from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
 from .linalg import inverse_table, mat_pow, right_nullspace, rref
 
 _CTX_CACHE: dict = {}
@@ -467,8 +467,8 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
     yields the same field representation.
     """
     _check_params(p, a, n)
-    if modulus is not None:
-        mod = np.asarray(modulus, dtype=np.int64)
+    if modulus is not None:  # reduced as Python ints, so entries beyond int64 are read mod p
+        mod = np.array([int(c) % p for c in modulus], dtype=np.int64)
         key = (p, a, n, mod.tobytes(), seed)
         if key not in _CTX_CACHE:
             _CTX_CACHE[key] = FieldCtx(p, a, n, mod, seed=seed)
@@ -485,13 +485,26 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
     return _CTX_CACHE[key]
 
 
+def split_prime_power(q: int) -> tuple[int, int]:
+    """(p, a) with q = p^a, else ValueError."""
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise ValueError(f"q must be a prime power, got {q}")
+    ((p, a),) = fac.items()
+    return int(p), int(a)
+
+
 def field_from_spec(spec: dict) -> FieldCtx:
+    """The field of a spec as written by :meth:`FieldCtx.to_spec`, checked entry by entry."""
+    if not isinstance(spec, dict):
+        raise ValueError("a field spec must be a JSON object")
+    modulus = spec.get("modulus")
     return make_field(
-        int(spec["p"]),
-        int(spec.get("a", 1)),
-        int(spec.get("n", 1)),
-        modulus=spec.get("modulus"),
-        seed=int(spec.get("seed", 0)),
+        int_scalar(spec["p"], "p"),
+        int_scalar(spec.get("a", 1), "a"),
+        int_scalar(spec.get("n", 1), "n"),
+        modulus=None if modulus is None else int_list(modulus, "modulus"),
+        seed=int_scalar(spec.get("seed", 0), "seed"),
     )
 
 
@@ -624,10 +637,7 @@ def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> l
     """
     if count < 1 or max_degree < 1:
         raise ValueError("count and max_degree must be positive")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    ((p, a),) = fac.items()
+    p, a = split_prime_power(q)
     scal = make_field(p, a, 1, seed=seed) if a > 1 else prime_ctx(p)
     gfpoly.require_supply(q, count, max_degree)
     rng = np.random.default_rng((p, a, max_degree, seed, 0x17))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConstructionError
+from .errors import BudgetError, ConstructionError, int_list
 from .field import FieldCtx, FieldElement, field_from_spec
 from .linalg import SpanBuilder, batch_rank, left_nullspace
 
@@ -116,7 +116,7 @@ class Subspace:
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
         ctx = field_from_spec(d["field"])
-        return cls(ctx, np.asarray(d["basis"], dtype=np.int64))
+        return cls(ctx, [[c % ctx.p for c in int_list(row, "basis row")] for row in d["basis"]])
 
     # -- dunder ------------------------------------------------------------------------
 

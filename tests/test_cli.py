@@ -315,9 +315,27 @@ F2_3 = {"p": 2, "n": 3}
             {"field": F2_3, "basis": [[1, 0, 0]]},
             "too many coefficients",
         ),
+        (["span", "FILE"], {"field": {"p": 2, "n": 3.9}, "basis": [[1, 0, 0]]}, "n must be an integer"),
+        (["span", "FILE"], {"field": {"q": 4.0, "n": 3}, "basis": [[1, 0, 0, 0, 0, 0]]}, "q must be an integer"),
+        (["span", "FILE"], {"field": {"q": 2, "n": 3.9}, "basis": [[1, 0, 0]]}, "n must be an integer"),
+        (
+            ["check", "FILE"],
+            {"field": {"p": 2, "n": 3, "modulus": [1, 1.5, 0, 1]}, "basis": [[1, 0, 0]]},
+            "modulus must be a list of integers",
+        ),
+        (["orbit", "FILE"], {"field": {"p": 2, "n": 3, "seed": True}, "basis": [[1, 0, 0]]}, "seed must be"),
+        (["span", "FILE"], {"field": 5, "basis": [[1, 0, 0]]}, "'field' must be a JSON object"),
+        (["span", "FILE"], 5, "must be a JSON object"),
+        (["span", "FILE"], {"space": [1, 2]}, "'space' must be a JSON object"),
+        (["brset", "verify", "FILE"], {"elements": [0, 1, 3], "r": 2.9}, "r must be an integer"),
+        (["brset", "verify", "FILE"], {"elements": [0, 1, 3], "r": 2, "modulus": 7.5}, "modulus must be an integer"),
+        (["brset", "verify", "FILE"], [0, 1, 3], "must be a JSON object"),
+        (["brset", "verify", "FILE"], {"brset": 3}, "'brset' must be a JSON object"),
     ],
     ids=["dict-entry", "scalar-basis", "float-entry", "bool-entry", "float-extract",
-         "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma"],
+         "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma",
+         "float-n", "float-q", "float-n-of-q", "float-modulus-entry", "bool-seed", "scalar-field",
+         "scalar-file", "list-space", "float-r", "float-modulus", "list-file", "scalar-brset"],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content, message):
     f = tmp_path / "bad.json"
@@ -337,3 +355,11 @@ def test_basis_entries_are_read_mod_p(capsys, tmp_path, entry):
     code, rep, _ = run_json(capsys, "span", str(f))
     assert code == 0
     assert run_json(capsys, "span", str(g))[1] == rep
+
+
+def test_modulus_entries_are_read_mod_p(capsys, tmp_path):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"field": {"p": 2, "n": 3, "modulus": [10**23 + 1, -1, 0, 1]}, "basis": [[1, 0, 1]]}))
+    code, rep, _ = run_json(capsys, "span", str(f))
+    assert code == 0
+    assert rep["field"]["modulus"] == [1, 1, 0, 1]

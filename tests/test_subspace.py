@@ -366,6 +366,11 @@ def test_dict_round_trip():
     W = Subspace.from_dict(d)
     assert W == V
     assert W.fingerprint() == V.fingerprint()
+    d["basis"][0][1] += 0.5
+    with pytest.raises(ValueError, match="basis row"):
+        Subspace.from_dict(d)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Subspace.from_dict({"field": {"p": 3, "n": 4.0}, "basis": []})
 
 
 def test_zero_and_full_edges():
