@@ -106,7 +106,8 @@ def _x_power_coords(ctx, f, start: int, step: int, count: int) -> np.ndarray:
     rows, S = mat_pow(C, start, p)[:a], mat_pow(C, step, p)
     out = np.empty((count, a, a * m), dtype=np.int64)
     for i in range(count):
-        out[i], rows = rows, rows @ S % p
+        out[i] = rows
+        rows = rows @ S % p
     return out
 
 
