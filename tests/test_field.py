@@ -101,6 +101,26 @@ def test_pow_elem_squares_only_up_to_the_top_bit(monkeypatch):
         assert a**e == prod
 
 
+@pytest.mark.parametrize("p,a,n", [(3, 1, 4), (2, 2, 3)])
+def test_powers_match_repeated_multiplication(p, a, n):
+    ctx = make_field(p, a, n)
+    U = np.random.default_rng(3).integers(0, p, (6, ctx.dim))
+    U[0] = 0
+    for e in (0, 1, 2, 7, 64, ctx.order - 2):
+        want = np.tile(ctx.one_vec, (U.shape[0], 1))
+        for _ in range(e):
+            want = ctx.mul_many(want, U)
+        assert ctx.pow_many(U, e).tolist() == want.tolist()
+        assert [ctx.pow_elem(u, e).tolist() for u in U] == want.tolist()
+    u = U[1]
+    assert u.any()
+    want = ctx.one_vec
+    for _ in range(3):
+        want = ctx.mul(want, ctx.inv(u))
+    assert ctx.pow_elem(u, -3).tolist() == want.tolist()
+    assert ctx.mul(ctx.pow_elem(u, -3), ctx.pow_elem(u, 3)).tolist() == ctx.one_vec.tolist()
+
+
 def test_reducible_modulus_is_rejected():
     with pytest.raises(ConstructionError, match="reducible"):
         FieldCtx(2, 1, 4, np.array([1, 0, 0, 0, 1]))  # x^4 + 1 = (x + 1)^4
@@ -341,7 +361,7 @@ def test_random_element_determinism():
     assert a == b
 
 
-@pytest.mark.parametrize("p,a,n", [(2, 2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("p,a,n", [(2, 2, 3), (3, 2, 2), (5, 1, 3), (3, 1, 4)])
 def test_proj_canon_is_the_smallest_vector_of_each_scaling_orbit(p, a, n):
     ctx = make_field(p, a, n)
     U = ctx.combinations(np.eye(ctx.dim, dtype=np.int64))[1:]

@@ -11,6 +11,7 @@ from sidonspace.linalg import (
     gaussian_binomial,
     inverse_table,
     left_nullspace,
+    mat_pow,
     rank,
     rref,
     right_nullspace,
@@ -141,6 +142,15 @@ def test_rref_and_batch_rank_match_sympy(p):
             R, piv = rref(A, p)
             assert R.tolist() == R0.tolist() and piv == piv0 and rank(A, p) == r0
     assert batch_rank(np.zeros((0, 3, 4), dtype=np.int64), p).shape == (0,)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 7, 64])
+def test_mat_pow_matches_repeated_multiplication(e):
+    A = np.random.default_rng(5).integers(0, 7, (5, 5))
+    want = np.eye(5, dtype=np.int64)
+    for _ in range(e):
+        want = want @ A % 7
+    assert mat_pow(A, e, 7).tolist() == want.tolist()
 
 
 def test_span_builder_basis_is_read_only():
