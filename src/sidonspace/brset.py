@@ -108,16 +108,6 @@ def discrete_log(x: FieldElement, gamma: FieldElement, table: DiscreteLogTable |
     return table.log(x)
 
 
-def _check_primitive(gamma: FieldElement) -> None:
-    ctx = gamma.ctx
-    if gamma.is_zero():
-        raise ValueError("gamma must be nonzero")
-    N = ctx.order - 1
-    for ell in ctx.group_factorization():
-        if (ctx.pow_elem(gamma.vec, N // ell) == ctx.one_vec).all():
-            raise ValueError(f"gamma is not primitive (order divides (q^n-1)/{ell})")
-
-
 def extract_brset(
     V: Subspace,
     r: int,
@@ -130,7 +120,7 @@ def extract_brset(
 ) -> BrSet:
     """Discrete-log image of V's projective points, a B_r-set mod (q^n-1)/(q-1).
 
-    gamma must be primitive (checked via the factorization of q^n - 1). The
+    gamma must be primitive (checked by :meth:`FieldCtx.is_primitive`). The
     r-fold product-injectivity of V is checked by enumeration unless
     assume_r_sidon marks it as already established by the caller. With
     translate, the set is shifted so its minimum is 0. With verify, the
@@ -139,7 +129,8 @@ def extract_brset(
     ctx = V.ctx
     if gamma.ctx != ctx:
         raise ValueError("gamma lives in a different field")
-    _check_primitive(gamma)
+    if not ctx.is_primitive(gamma.vec):
+        raise ValueError("gamma must be primitive")
     if not assume_r_sidon:
         report = is_r_sidon(V, r, budget=budget)
         if not report.verdict:

@@ -146,7 +146,6 @@ def _cmd_construct(args) -> int:
             args.t,
             args.variant,
             delta=_ints(args.delta) if args.delta else None,
-            gamma=None,
             seed=args.seed,
         )
     elif name == "trace":
@@ -187,7 +186,7 @@ def _cmd_check(args) -> int:
     if method in ("intersection", "both"):
         if args.r != 2:
             raise ValueError("the intersection route only decides r = 2")
-        reports["intersection"] = is_sidon_intersection(V).to_dict()
+        reports["intersection"] = is_sidon_intersection(V, **budget_kw).to_dict()
     verdicts = {rep["verdict"] for rep in reports.values()}
     if len(verdicts) != 1:
         raise AssertionError("the two routes disagree; this is a bug")

@@ -37,10 +37,10 @@ from .subspace import (
     Subspace,
     intersection_dims_with_scaled,
     power,
-    product,
     scale,
     span,
     span_chain,
+    span_levels,
     stabilizer,
     subfield_space,
     sum_spaces,
@@ -163,8 +163,9 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
     def expected_dim(rr: int) -> int:
         return rr * k if k >= 3 else math.comb(k + rr - 1, rr)
 
-    levels = itertools.accumulate([V] * min(r, t - 1), product) if t >= 3 else [V]
-    dims = [W.dim for W in levels]
+    count = min(r, t - 1)
+    dims = [W.dim for W in span_levels(V, count)]
+    dims += dims[-1:] * (count - len(dims))  # a stable chain stays stable
     for rr, d in enumerate(dims[1:], start=2):
         if d != expected_dim(rr):
             raise ConstructionError(f"dim V^{rr} = {d}, expected {expected_dim(rr)}")
@@ -304,7 +305,7 @@ def _norm_to_base(ctx: FieldCtx, x: FieldElement, k: int) -> FieldElement:
     return FieldElement(ctx, ctx.pow_elem(x.vec, e))
 
 
-def trace_space(q: int, k: int, t: int, *, gamma=None, seed: int = 0) -> ConstructionRecord:
+def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:
     """Graph space of the trace of F_{q^k} over F_q inside F_{q^(kt)}.
 
     On build the characteristic intersection pattern is re-measured: for
@@ -316,10 +317,7 @@ def trace_space(q: int, k: int, t: int, *, gamma=None, seed: int = 0) -> Constru
     p, a = split_prime_power(q)
     n = k * t
     ctx = make_field(p, a, n, seed=seed)
-    if gamma is None:
-        gamma_el = find_generator(ctx, over_m=k, seed=seed)
-    else:
-        gamma_el = gamma if isinstance(gamma, FieldElement) else ctx.element(gamma)
+    gamma_el = find_generator(ctx, over_m=k, seed=seed)
     f = LinearizedPoly.trace_poly(ctx, k)
     V = v_f_gamma(f, gamma_el)
     if V.dim != k:
@@ -351,9 +349,7 @@ def trace_space(q: int, k: int, t: int, *, gamma=None, seed: int = 0) -> Constru
     )
 
 
-def maxspan_from_brset(
-    S, q: int, r: int, n: int, *, gamma=None, seed: int = 0
-) -> ConstructionRecord:
+def maxspan_from_brset(S, q: int, r: int, n: int, *, seed: int = 0) -> ConstructionRecord:
     """Span of powers gamma^s for s in a B_r-set S, a max-span space.
 
     Requires n > r*max(S) and S to verify as a B_r-set over the integers;
@@ -373,10 +369,7 @@ def maxspan_from_brset(
         raise ConstructionError(f"S is not a B_{r}-set: {witness}")
     p, a = split_prime_power(q)
     ctx = make_field(p, a, n, seed=seed)
-    if gamma is None:
-        gamma_el = find_generator(ctx, over_m=1, seed=seed)
-    else:
-        gamma_el = gamma if isinstance(gamma, FieldElement) else ctx.element(gamma)
+    gamma_el = find_generator(ctx, over_m=1, seed=seed)
     gens = [gamma_el**e for e in S]
     V = span(ctx, gens)
     kdim = len(S)

@@ -253,14 +253,8 @@ def run_table3(spec: ExperimentSpec) -> ExperimentReport:
     )
 
 
-def _square_graph_sweep(ctx, k: int, collect: bool, audits: list[dict], scope: str):
-    """Sweep V_gamma = {u + u^q gamma} over every gamma outside F_{q^k}."""
-    B = ctx.subfield_fp_basis(k)
-    Bq = ctx.frob_q(B, 1)
-    return _gamma_sweep(ctx, k, B, Bq, collect, audits, scope)
-
-
 def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
+    """Decide the graph spaces {u + f(u) gamma}, rows B + gamma*FB, for every gamma outside F_{q^k}."""
     gammas = ctx.subfield_elements(ctx.n)
     keep = ~np.asarray(ctx.in_subfield(gammas, k))
     gammas = gammas[keep]
@@ -319,8 +313,9 @@ def run_prop_f26(spec: ExperimentSpec) -> ExperimentReport:
     audits: list[dict] = []
     for n in (6, 9):
         ctx = make_field(2, 1, n)
-        count, two, three, bad = _square_graph_sweep(
-            ctx, 3, collect, audits, f"square graphs in F_(2^{n})"
+        B = ctx.subfield_fp_basis(3)  # V_gamma = {u + u^2 gamma : u in F_8}
+        count, two, three, bad = _gamma_sweep(
+            ctx, 3, B, ctx.frob_q(B, 1), collect, audits, f"square graphs in F_(2^{n})"
         )
         row = {
             "field": f"F_(2^{n})",

@@ -9,7 +9,9 @@ share one representation and can be mixed freely.
 Elements are little-endian numpy int64 coefficient vectors of length
 ``ctx.dim == a*n``; :class:`FieldElement` is a thin immutable wrapper for
 scalar work, while batch kernels (``mul_many``, ``frob_q``, ...) operate on
-(N x dim) arrays directly.
+(N x dim) arrays directly. Both powers (``pow_elem``, ``pow_many``) run
+:func:`~sidonspace.linalg.square_multiply`, and :meth:`FieldCtx.is_primitive`
+is the one test for a generator of the multiplicative group.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from sympy import divisors, factorint, isprime
 
 from . import gfpoly
 from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
-from .linalg import inverse_table, mat_pow, right_nullspace, rref
+from .linalg import inverse_table, mat_pow, right_nullspace, rref, square_multiply
 
 _CTX_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
@@ -95,13 +97,8 @@ class FieldCtx:
     def _reduce(self, full: np.ndarray) -> np.ndarray:
         """Reduce (N x m) convolution outputs, m <= 2*dim-1, mod the modulus."""
         d = self.dim
-        if full.shape[1] <= d:
-            out = np.zeros((full.shape[0], d), dtype=np.int64)
-            out[:, : full.shape[1]] = full
-            return out % self.p
-        low = full[:, :d].copy()
         high = full[:, d:]
-        return (low + high @ self._red[: high.shape[1]]) % self.p
+        return (full[:, :d] + high @ self._red[: high.shape[1]]) % self.p
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         full = np.convolve(u, v) % self.p
@@ -153,31 +150,25 @@ class FieldCtx:
         return (out * c) % p
 
     def pow_elem(self, u: np.ndarray, e: int) -> np.ndarray:
+        """u^e for any Python int e (u^-e = (u^-1)^e), by scalar products."""
         if e < 0:
             return self.pow_elem(self.inv(u), -e)
-        result = self.one_vec
-        base = np.asarray(u, dtype=np.int64) % self.p
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        return square_multiply(self.one_vec, np.asarray(u, dtype=np.int64) % self.p, e, self.mul)
 
     def pow_many(self, U: np.ndarray, e: int) -> np.ndarray:
         """Batched power with a shared nonnegative exponent."""
-        assert e >= 0
         U = np.atleast_2d(U)
-        result = np.tile(self.one_vec, (U.shape[0], 1))
-        base = U % self.p
-        while e:
-            if e & 1:
-                result = self.mul_many(result, base)
-            e >>= 1
-            if e:
-                base = self.mul_many(base, base)
-        return result
+        return square_multiply(np.tile(self.one_vec, (U.shape[0], 1)), U % self.p, e, self.mul_many)
+
+    def is_primitive(self, u: np.ndarray) -> bool:
+        """Whether u generates F_{q^n}^*: u != 0 and u^((q^n-1)/ell) != 1 for each prime ell | q^n-1."""
+        u = np.asarray(u, dtype=np.int64) % self.p
+        if not u.any():
+            return False
+        N = self.order - 1
+        return not any(
+            (self.pow_elem(u, N // ell) == self.one_vec).all() for ell in self.group_factorization()
+        )
 
     # -- Frobenius and subfields ---------------------------------------------------
 
@@ -273,9 +264,10 @@ class FieldCtx:
     def proj_canon(self, U: np.ndarray) -> np.ndarray:
         """Canonical representative of each row under F_q^* scaling.
 
-        For prime q the rule is "first nonzero F_p-coordinate equals 1"; for
-        q = p^a with a > 1 the representative is the lexicographically
-        smallest coefficient vector in the scaling orbit.
+        The representative is the lexicographically smallest coefficient
+        vector in the row's F_q^*-orbit. For prime q that is the multiple
+        whose first nonzero coordinate is 1, so the a = 1 branch is a fast
+        path for the same rule.
         """
         U = np.atleast_2d(U) % self.p
         if self.a == 1:
@@ -563,69 +555,37 @@ def minimal_polynomial(x: FieldElement, m: int = 1) -> list[FieldElement]:
 
 
 def find_generator(
-    ctx: FieldCtx,
-    over_m: int = 1,
-    *,
-    primitive: bool = False,
-    norm_constraint: tuple[str, object] | None = None,
-    seed: int = 0,
-    max_tries: int = 1 << 16,
+    ctx: FieldCtx, over_m: int = 1, *, primitive: bool = False, seed: int = 0
 ) -> FieldElement:
     """Seeded search for gamma with F_{q^over_m}(gamma) = F_{q^n}.
+
+    Candidates are uniform random vectors; the first one that lies in no
+    maximal subfield F_{q^m} with over_m | m | n (and, with ``primitive``,
+    passes :meth:`FieldCtx.is_primitive`) is returned.
 
     Args:
         over_m: Degree over F_q of the base field of the generation request.
         primitive: Additionally require gamma to generate the multiplicative
-            group (uses the factorization of q^n - 1).
-        norm_constraint: Optional ("ne"|"eq", value) condition on the
-            absolute norm N_{q^n/q}(gamma); value may be a FieldElement or a
-            plain int embedded through the prime field.
+            group.
         seed: Search seed; results are deterministic per seed.
 
     Raises:
-        NoSuchElementError: If the constraint is provably unsatisfiable
-            (e.g. norm != 1 over q = 2) or the try budget is exhausted.
+        NoSuchElementError: If none of 2^16 candidates qualifies.
     """
     if ctx.n % over_m:
         raise ValueError(f"over_m={over_m} does not divide n={ctx.n}")
-    op = None
-    target = None
-    if norm_constraint is not None:
-        op, value = norm_constraint
-        if op not in ("ne", "eq"):
-            raise ValueError("norm_constraint op must be 'ne' or 'eq'")
-        target = value if isinstance(value, FieldElement) else ctx.from_int(int(value))
-        if op == "ne" and ctx.q == 2 and target == ctx.one:
-            raise NoSuchElementError(
-                "norm constraint 'ne 1' unsatisfiable: over F_2 every nonzero element has norm 1"
-            )
-        if op == "eq" and target.is_zero():
-            raise NoSuchElementError(
-                "norm constraint 'eq 0' unsatisfiable: norms of nonzero elements are nonzero"
-            )
     proper = [ctx.n // ell for ell in factorint(ctx.n // over_m)]
-    prim_factors = list(ctx.group_factorization()) if primitive else []
-    N = ctx.order - 1
-    norm_exp = N // (ctx.q - 1)
     rng = np.random.default_rng((ctx.p, ctx.a, ctx.n, seed, 0x6E))
-    for _ in range(max_tries):
+    for _ in range(1 << 16):
         v = rng.integers(0, ctx.p, ctx.dim, dtype=np.int64)
         if not v.any():
             continue
         if any((ctx.frob_q(v, mp) == v).all() for mp in proper):
             continue
-        if primitive and any(
-            (ctx.pow_elem(v, N // ell) == ctx.one_vec).all() for ell in prim_factors
-        ):
+        if primitive and not ctx.is_primitive(v):
             continue
-        if target is not None:
-            nv = ctx.pow_elem(v, norm_exp)
-            if op == "ne" and (nv == target.vec).all():
-                continue
-            if op == "eq" and not (nv == target.vec).all():
-                continue
         return FieldElement(ctx, v)
-    raise NoSuchElementError(f"no element found satisfying constraints after {max_tries} tries")
+    raise NoSuchElementError("no generator found in 2^16 tries")
 
 
 def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> list[gfpoly.Poly]:

@@ -55,9 +55,6 @@ def psub(ctx, f, g):
 def pmul(ctx, f, g):
     if f.shape[0] == 0 or g.shape[0] == 0:
         return f[:0]
-    if ctx.dim == 1:
-        full = np.convolve(f[:, 0], g[:, 0]) % ctx.p
-        return _norm(full[:, None])
     lf, lg = f.shape[0], g.shape[0]
     full = np.zeros((lf + lg - 1, ctx.dim), dtype=np.int64)
     for i in range(lf):

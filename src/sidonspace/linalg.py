@@ -7,7 +7,9 @@ elimination: :func:`rref` and :func:`rank` run it on one matrix,
 :func:`batch_rank` on a whole stack. Its output is the canonical RREF
 (unit pivots, zeros above and below each pivot, rows ordered by pivot
 column), so two equal row spaces always produce byte-identical bases.
-:func:`mat_pow` is the one matrix power.
+:func:`square_multiply` is the one square-and-multiply loop: :func:`mat_pow`
+runs it with a matrix product mod p, and the field powers
+(``FieldCtx.pow_elem``, ``FieldCtx.pow_many``) with field products.
 """
 
 from __future__ import annotations
@@ -178,18 +180,26 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return _gauss_jordan(np.array(mats, dtype=np.int64) % p, p)
 
 
-def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
-    """A^e over F_p by square-and-multiply; A is square, e a nonnegative Python int."""
+def square_multiply(one, base, e: int, mul):
+    """base^e under the product ``mul``, from ``one``; e a nonnegative Python int.
+
+    One product per set bit of e and one squaring per bit below the top one.
+    """
     assert e >= 0
-    result = np.eye(A.shape[0], dtype=np.int64)
-    base = np.asarray(A, dtype=np.int64) % p
+    result = one
     while e:
         if e & 1:
-            result = result @ base % p
+            result = mul(result, base)
         e >>= 1
         if e:
-            base = base @ base % p
+            base = mul(base, base)
     return result
+
+
+def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A^e over F_p; A is square."""
+    base = np.asarray(A, dtype=np.int64) % p
+    return square_multiply(np.eye(A.shape[0], dtype=np.int64), base, e, lambda X, Y: X @ Y % p)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -52,8 +52,9 @@ class LinearizedPoly:
         return cls(ctx, k, c)
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, k: int, s: int, coeff=1) -> "LinearizedPoly":
-        return cls.from_terms(ctx, k, {s: coeff})
+    def monomial(cls, ctx: FieldCtx, k: int, s: int) -> "LinearizedPoly":
+        """The monomial x^(q^s)."""
+        return cls.from_terms(ctx, k, {s: 1})
 
     @classmethod
     def trace_poly(cls, ctx: FieldCtx, k: int) -> "LinearizedPoly":

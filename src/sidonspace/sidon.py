@@ -72,7 +72,7 @@ def is_sidon_intersection(V: Subspace, *, budget: int = 1 << 22) -> SidonReport:
         raise BudgetError(
             f"{count} scalars exceed the sweep budget {budget}", required=count
         )
-    pts = all_projective_points(ctx)
+    pts = all_projective_points(ctx, budget=budget)
     one = ctx.proj_canon(ctx.one_vec[None, :])[0]
     pts = pts[~(pts == one).all(axis=1)]
     checked = 0

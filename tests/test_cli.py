@@ -136,6 +136,15 @@ def test_check_budget_exit(capsys, tmp_path):
     assert "budget exceeded" in err
 
 
+def test_check_budget_exit_on_the_intersection_route(capsys, tmp_path):
+    f = trace_file(capsys, tmp_path)  # 511 scalars in F_2^9
+    code, out, err = run_cli(
+        capsys, "check", str(f), "--method", "intersection", "--budget", "10"
+    )
+    assert code == 2
+    assert "budget exceeded" in err
+
+
 def test_check_of_an_oversized_space_is_a_budget_exit(capsys, tmp_path):
     # 2^23 elements: on the products route the enumeration guard fires
     # before anything is allocated

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from sidonspace.errors import BudgetError, ConstructionError, NoSuchElementError
+from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import (
     DiscreteLogTable,
     FieldCtx,
@@ -269,20 +269,6 @@ def test_find_generator_primitive_order():
     assert g ** 63 == ctx.one
     assert g ** 21 != ctx.one
     assert g ** 9 != ctx.one
-
-
-def test_find_generator_norm_constraint():
-    ctx = make_field(3, 1, 4)
-    g = find_generator(ctx, norm_constraint=("ne", 1))
-    assert norm(g) != ctx.one
-    h = find_generator(ctx, norm_constraint=("eq", 2))
-    assert norm(h) == ctx.from_int(2)
-
-
-def test_find_generator_exhaustion_raises():
-    ctx = make_field(2, 1, 6)
-    with pytest.raises(NoSuchElementError):
-        find_generator(ctx, norm_constraint=("eq", 0), max_tries=200)
 
 
 def test_discrete_log_round_trip():
