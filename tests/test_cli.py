@@ -264,6 +264,27 @@ def test_experiment_param_plumbing(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--param", "limit=1.5"],
+        ["table2", "--param", "limit=true"],
+        ["table2", "--param", "budget=0"],
+        ["prop-trace-9", "--param", 'limit="x"'],
+        ["prop-trace-9", "--limit", "-1"],
+        ["sample-f2-9", "--param", "samples=2.5"],
+        ["sample-f2-9", "--samples", "0"],
+    ],
+    ids=["float-limit", "bool-limit", "zero-budget", "string-limit", "negative-limit",
+         "float-samples", "zero-samples"],
+)
+def test_experiment_counts_are_positive_integers(capsys, argv):
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 64
+    assert out == ""
+    assert "must be" in err
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "span", str(tmp_path / "absent.json"))
     assert code == 64
