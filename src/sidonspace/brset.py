@@ -127,8 +127,7 @@ def extract_brset(
     extracted set is re-checked as a B_r-set by sum enumeration.
     """
     ctx = V.ctx
-    if gamma.ctx != ctx:
-        raise ValueError("gamma lives in a different field")
+    gamma = ctx.element(gamma)
     if not ctx.is_primitive(gamma.vec):
         raise ValueError("gamma must be primitive")
     if not assume_r_sidon:

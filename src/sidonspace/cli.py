@@ -244,7 +244,7 @@ def _cmd_brset(args) -> int:
     V = _load_subspace(args.file)
     ctx = V.ctx
     if args.gamma:
-        gamma = ctx.element([c % ctx.p for c in _ints(args.gamma)])
+        gamma = ctx.element(_ints(args.gamma))
     else:
         gamma = find_generator(ctx, primitive=True, seed=args.seed)
     bs = extract_brset(

@@ -96,12 +96,8 @@ class ConstructionRecord:
 
 
 def _as_subfield_element(ctx: FieldCtx, k: int, value, what: str) -> FieldElement:
-    if isinstance(value, FieldElement):
-        el = value if value.ctx == ctx else ctx.element(value.coeffs)
-    elif isinstance(value, int):
-        el = ctx.from_int(value)
-    else:
-        el = ctx.element(value)
+    """``ctx.element(value)``, which must lie in F_{q^k}."""
+    el = ctx.element(value)
     if not ctx.in_subfield(el.vec, k):
         raise ConstructionError(f"{what} must lie in F_(q^{k})")
     return el
@@ -220,7 +216,7 @@ def monomial_decomposition_check(rec: ConstructionRecord) -> bool:
         if rr <= len(chain.levels):
             ok &= stabilizer(chain.level(rr)) == 1
     n = ctx.n
-    sign = ctx.from_int((-1) ** n)
+    sign = ctx.element((-1) ** n)
     expected_tbar = t + 1 if norm(gamma) == sign else t
     ok &= chain.t_bar == expected_tbar
     return bool(ok)
@@ -278,7 +274,7 @@ def binomial_family(
     if gamma is None:
         gamma_el = find_generator(ctx, over_m=k, seed=seed)
     else:
-        gamma_el = gamma if isinstance(gamma, FieldElement) else ctx.element(gamma)
+        gamma_el = ctx.element(gamma)
     f = LinearizedPoly.from_terms(ctx, k, {s: 1, e2: delta_el})
     V = v_f_gamma(f, gamma_el)
     if V.dim != k:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .brset import extract_brset
 from .constructions import binomial_family
+from .errors import int_scalar
 from .field import find_generator, make_field
 from .sidon import audit_bounds, is_r_sidon
 from .subspace import random_subspace, span, span_levels
@@ -62,6 +63,16 @@ class ExperimentSpec:
     name: str
     params: dict = field(default_factory=dict)
     seed: int = 0
+
+
+def _count_param(spec: ExperimentSpec, key: str, default: int | None = None) -> int | None:
+    """``spec.params[key]`` as an integer of at least 1, or ``default`` when absent or None."""
+    value = spec.params.get(key)
+    if value is None:
+        return default
+    if int_scalar(value, key) < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 @dataclass
@@ -139,8 +150,8 @@ def _graph_table(
     norm_filter_even_k: bool,
 ) -> ExperimentReport:
     s = 1
-    limit = spec.params.get("limit")
-    budget = spec.params.get("budget")
+    limit = _count_param(spec, "limit")
+    budget = _count_param(spec, "budget")
     collect = bool(spec.params.get("collect_audits"))
     rows: list[dict] = []
     audits: list[dict] = []
@@ -343,7 +354,7 @@ def run_prop_trace_9(spec: ExperimentSpec) -> ExperimentReport:
     never 3-Sidon.
     """
     collect = bool(spec.params.get("collect_audits"))
-    limit = spec.params.get("limit")
+    limit = _count_param(spec, "limit")
     rows: list[dict] = []
     audits: list[dict] = []
     qs = (2, 3)[:limit]
@@ -381,9 +392,7 @@ def run_sample_f2_9(spec: ExperimentSpec) -> ExperimentReport:
     from an unstated sample size, so a statistical band is the honest
     comparison.
     """
-    N = int(spec.params.get("samples", 2000))
-    if N < 1:
-        raise ValueError("sample count must be positive")
+    N = _count_param(spec, "samples", 2000)
     ctx = make_field(2, 1, 9)
     rng = np.random.default_rng((2, 9, 3, spec.seed))
     counts = {"two_sidon": 0, "three_sidon": 0}

@@ -12,6 +12,11 @@ scalar work, while batch kernels (``mul_many``, ``frob_q``, ...) operate on
 (N x dim) arrays directly. Both powers (``pow_elem``, ``pow_many``) run
 :func:`~sidonspace.linalg.square_multiply`, and :meth:`FieldCtx.is_primitive`
 is the one test for a generator of the multiplicative group.
+
+Values from callers enter through two readers: :meth:`FieldCtx.element` for
+one element (a FieldElement of an equal field, an integer or a coefficient
+list) and :meth:`FieldCtx.rows` for coefficient rows. Both reduce mod p and
+refuse floats, bools and elements of another field.
 """
 
 from __future__ import annotations
@@ -301,18 +306,62 @@ class FieldCtx:
             self._group_factors = {int(k): int(v) for k, v in factorint(self.order - 1).items()}
         return self._group_factors
 
-    def element(self, coeffs) -> "FieldElement":
-        v = np.zeros(self.dim, dtype=np.int64)
-        c = np.asarray(coeffs, dtype=np.int64).ravel()
+    # -- reading values: every element and coefficient row enters here -------------------
+
+    def _ints(self, x) -> np.ndarray:
+        """x as int64 reduced mod p: an integer array, an integer, or nested lists of them.
+
+        Python ints are reduced before numpy sees them, so no size overflows;
+        floats, bools and everything else raise ValueError.
+        """
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind not in "iu":
+                raise ValueError(f"coefficients must be integers, got dtype {x.dtype}")
+            return (x % self.p).astype(np.int64, copy=False)
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+            return np.array(int(x) % self.p, dtype=np.int64)
+        if isinstance(x, (list, tuple)):
+            return np.array([self._ints(c) for c in x], dtype=np.int64)
+        raise ValueError(f"coefficients must be integers, got {type(x).__name__}")
+
+    def _vec(self, x) -> np.ndarray:
+        """The read-only coefficient vector of the element ``x`` names (see :meth:`element`)."""
+        if isinstance(x, FieldElement):
+            if x.ctx != self:
+                raise ValueError("element from a different field")
+            return x.vec
+        c = self._ints(x).ravel()
         if len(c) > self.dim:
             raise ValueError(f"too many coefficients ({len(c)} > {self.dim})")
-        v[: len(c)] = c % self.p
-        return FieldElement(self, v)
+        if len(c) < self.dim:
+            c = np.concatenate([c, np.zeros(self.dim - len(c), dtype=np.int64)])
+        c.setflags(write=False)
+        return c
+
+    def element(self, x) -> "FieldElement":
+        """The element x names: a FieldElement of an equal field, an integer (the
+        constant x mod p), or at most ``dim`` integer coefficients, zero-padded."""
+        return x if isinstance(x, FieldElement) and x.ctx == self else FieldElement(self, x)
 
     def from_int(self, c: int) -> "FieldElement":
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[0] = c % self.p
-        return FieldElement(self, v)
+        """The constant c mod p."""
+        if np.ndim(c):
+            raise ValueError("from_int takes one integer")
+        return FieldElement(self, c)
+
+    def rows(self, gens) -> np.ndarray:
+        """(N x dim) rows mod p of a 2-D integer array, or of FieldElements and length-dim rows."""
+        if isinstance(gens, np.ndarray) and gens.ndim == 2:
+            if gens.shape[1] != self.dim:
+                raise ValueError(f"coefficient rows of length {gens.shape[1]}, expected {self.dim}")
+            return self._ints(gens)
+        out = np.zeros((len(gens), self.dim), dtype=np.int64)
+        for i, g in enumerate(gens):
+            v = self._vec(g) if isinstance(g, FieldElement) else self._ints(g).ravel()
+            if len(v) != self.dim:
+                raise ValueError(f"coefficient row of length {len(v)}, expected {self.dim}")
+            out[i] = v
+        return out
 
     @property
     def zero(self) -> "FieldElement":
@@ -335,7 +384,7 @@ class FieldCtx:
         }
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FieldCtx)
             and (self.p, self.a, self.n) == (other.p, other.a, other.n)
             and (self.modulus == other.modulus).all()
@@ -355,11 +404,9 @@ class FieldElement:
 
     __slots__ = ("ctx", "vec")
 
-    def __init__(self, ctx: FieldCtx, vec: np.ndarray):
+    def __init__(self, ctx: FieldCtx, x):
         object.__setattr__(self, "ctx", ctx)
-        v = np.asarray(vec, dtype=np.int64) % ctx.p
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "vec", ctx._vec(x))
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElement is immutable")
@@ -375,11 +422,10 @@ class FieldElement:
         return bool(self.vec.any())
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if not isinstance(other, FieldElement) or other.ctx != self.ctx:
-            raise TypeError("operands live in different fields")
-        return other
+        try:
+            return self.ctx.element(other)
+        except ValueError as e:
+            raise TypeError(f"cannot combine with {other!r}: {e}") from None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -428,13 +474,10 @@ class FieldElement:
         raise AssertionError("element not fixed by the q^n Frobenius")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.ctx.from_int(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx == other.ctx
-            and (self.vec == other.vec).all()
-        )
+        try:
+            return bool((self.ctx._vec(other) == self.vec).all())
+        except ValueError:
+            return False
 
     def __hash__(self):
         return hash((self.ctx, self.vec.tobytes()))
@@ -712,8 +755,7 @@ class DiscreteLogTable:
         self.giant = self.ctx.pow_elem(base.vec, N - m)  # base^(-m)
 
     def log(self, x: FieldElement) -> int:
-        if x.ctx != self.ctx:
-            raise ValueError("element from a different field")
+        x = self.ctx.element(x)
         if x.is_zero():
             raise ValueError("zero has no discrete log")
         cur = x.vec

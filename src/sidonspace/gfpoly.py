@@ -193,7 +193,7 @@ class Poly:
     def from_ints(cls, field, ints) -> "Poly":
         if field.dim != 1:
             raise ValueError("from_ints requires a prime scalar field")
-        return cls(field, np.asarray(ints, dtype=np.int64)[:, None])
+        return cls(field, field.rows(list(ints)))
 
     @classmethod
     def x(cls, field) -> "Poly":

@@ -192,8 +192,7 @@ def verify_glk2_certificate(
     independently and must agree.
     """
     ctx = gamma.ctx
-    if xi.ctx != ctx:
-        raise ValueError("gamma and xi live in different fields")
+    xi = ctx.element(xi)
     if f.ctx != ctx or g.ctx != ctx or f.k != g.k:
         raise ValueError("f and g must act on the same subfield of the same field")
     k = f.k

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoSuchElementError
-from .field import FieldCtx, FieldElement
+from .errors import NoSuchElementError, int_scalar
+from .field import FieldCtx, FieldElement, field_from_spec
 from .linalg import left_nullspace, rref
 from .subspace import Subspace, span, subfield_space
 
@@ -27,7 +27,7 @@ class LinearizedPoly:
         self.ctx = ctx
         self.k = int(k)
         c = np.zeros((k, ctx.dim), dtype=np.int64)
-        src = np.atleast_2d(np.asarray(coeffs, dtype=np.int64)) % ctx.p
+        src = ctx.rows(coeffs)
         if src.shape[0] > k:
             raise ValueError("more coefficient rows than the q-degree bound k")
         c[: src.shape[0]] = src
@@ -42,13 +42,7 @@ class LinearizedPoly:
         """Build from {q-exponent: coefficient}; exponents folded mod k."""
         c = np.zeros((k, ctx.dim), dtype=np.int64)
         for e, coeff in terms.items():
-            if isinstance(coeff, FieldElement):
-                v = coeff.vec
-            elif isinstance(coeff, int):
-                v = ctx.from_int(coeff).vec
-            else:
-                v = np.asarray(coeff, dtype=np.int64) % ctx.p
-            c[e % k] = (c[e % k] + v) % ctx.p
+            c[e % k] += ctx.element(coeff).vec
         return cls(ctx, k, c)
 
     @classmethod
@@ -85,11 +79,9 @@ class LinearizedPoly:
         return acc
 
     def evaluate(self, x) -> FieldElement | np.ndarray:
-        if isinstance(x, FieldElement):
-            if x.ctx != self.ctx:
-                raise ValueError("argument from a different field")
-            return FieldElement(self.ctx, self.evaluate_many(x.vec[None, :])[0])
-        return self.evaluate_many(np.asarray(x, dtype=np.int64)[None, :])[0]
+        """f(x): a FieldElement for a FieldElement argument, else a coefficient vector."""
+        y = self.evaluate_many(self.ctx.element(x).vec[None, :])[0]
+        return FieldElement(self.ctx, y) if isinstance(x, FieldElement) else y
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -99,15 +91,15 @@ class LinearizedPoly:
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         if not isinstance(other, LinearizedPoly) or (self.ctx, self.k) != (other.ctx, other.k):
             raise TypeError("mismatched linearized polynomials")
-        return LinearizedPoly(self.ctx, self.k, (self.coeffs + other.coeffs) % self.ctx.p)
+        return LinearizedPoly(self.ctx, self.k, self.coeffs + other.coeffs)
 
     def scale(self, coeff) -> "LinearizedPoly":
-        v = coeff.vec if isinstance(coeff, FieldElement) else self.ctx.from_int(int(coeff)).vec
+        v = self.ctx.element(coeff).vec
         rows = self.ctx.mul_many(self.coeffs, np.broadcast_to(v, self.coeffs.shape))
         return LinearizedPoly(self.ctx, self.k, rows)
 
     def __neg__(self) -> "LinearizedPoly":
-        return LinearizedPoly(self.ctx, self.k, (-self.coeffs) % self.ctx.p)
+        return LinearizedPoly(self.ctx, self.k, -self.coeffs)
 
     def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         return self.__add__(-other)
@@ -139,8 +131,7 @@ class LinearizedPoly:
         B = self.ctx.subfield_fp_basis(self.k)
         M = self.matrix_on_subfield()
         null = left_nullspace(M, self.ctx.p)
-        rows = null @ B % self.ctx.p if null.shape[0] else np.zeros((0, self.ctx.dim), dtype=np.int64)
-        return span(self.ctx, rows)
+        return span(self.ctx, null @ B)
 
     def to_dict(self) -> dict:
         return {
@@ -151,9 +142,7 @@ class LinearizedPoly:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearizedPoly":
-        from .field import field_from_spec
-
-        return cls(field_from_spec(d["field"]), int(d["k"]), np.asarray(d["coeffs"]))
+        return cls(field_from_spec(d["field"]), int_scalar(d["k"], "k"), d["coeffs"])
 
 
 def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):
@@ -192,11 +181,9 @@ def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):
 def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:
     """The graph-style subspace {u + f(u) * gamma : u in F_{q^k}}."""
     ctx = f.ctx
-    if gamma.ctx != ctx:
-        raise ValueError("gamma from a different field")
     B = ctx.subfield_fp_basis(f.k)
     img = f.evaluate_many(B)
-    rows = (B + ctx.mul_many(img, np.broadcast_to(gamma.vec, img.shape))) % ctx.p
+    rows = (B + ctx.mul_many(img, np.broadcast_to(ctx.element(gamma).vec, img.shape))) % ctx.p
     return Subspace(ctx, rows)
 
 
@@ -215,8 +202,7 @@ def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:
     B = ctx.subfield_fp_basis(k)
     args, vals = [], []
     for a, b in pairs:
-        av = a.vec if isinstance(a, FieldElement) else np.asarray(a, dtype=np.int64)
-        bv = b.vec if isinstance(b, FieldElement) else np.asarray(b, dtype=np.int64)
+        av, bv = ctx.element(a).vec, ctx.element(b).vec
         if not ctx.in_subfield(av, k) or not ctx.in_subfield(bv, k):
             raise ValueError("interpolation data must lie in F_{q^k}")
         args.append(av)
@@ -232,4 +218,4 @@ def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:
         raise NoSuchElementError("no linearized polynomial satisfies the conditions")
     x = np.zeros(k * nb, dtype=np.int64)
     x[pivots] = R[:, -1]
-    return LinearizedPoly(ctx, k, x.reshape(k, nb) @ B % ctx.p)
+    return LinearizedPoly(ctx, k, x.reshape(k, nb) @ B)

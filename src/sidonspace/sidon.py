@@ -67,11 +67,6 @@ def is_sidon_intersection(V: Subspace, *, budget: int = 1 << 22) -> SidonReport:
     offending alpha and a basis of the too-large intersection.
     """
     ctx = V.ctx
-    count = (ctx.order - 1) // (ctx.q - 1)
-    if count > budget:
-        raise BudgetError(
-            f"{count} scalars exceed the sweep budget {budget}", required=count
-        )
     pts = all_projective_points(ctx, budget=budget)
     one = ctx.proj_canon(ctx.one_vec[None, :])[0]
     pts = pts[~(pts == one).all(axis=1)]

@@ -17,28 +17,6 @@ from .field import FieldCtx, FieldElement, field_from_spec
 from .linalg import SpanBuilder, batch_rank, left_nullspace
 
 
-def _as_rows(ctx: FieldCtx, gens) -> np.ndarray:
-    """Coerce field elements / coefficient rows to an (N x dim) int array."""
-    if isinstance(gens, np.ndarray) and gens.ndim == 2:
-        if gens.shape[1] != ctx.dim:
-            raise ValueError(f"coefficient rows of length {gens.shape[1]}, expected {ctx.dim}")
-        return gens % ctx.p
-    rows = []
-    for g in gens:
-        if isinstance(g, FieldElement):
-            if g.ctx != ctx:
-                raise ValueError("generator from a different field")
-            rows.append(g.vec)
-        else:
-            v = np.asarray(g, dtype=np.int64).ravel()
-            if len(v) != ctx.dim:
-                raise ValueError(f"coefficient row of length {len(v)}, expected {ctx.dim}")
-            rows.append(v % ctx.p)
-    if not rows:
-        return np.zeros((0, ctx.dim), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
-
-
 class Subspace:
     """An F_q-subspace of F_{q^n} with a canonical basis.
 
@@ -51,7 +29,7 @@ class Subspace:
     def __init__(self, ctx: FieldCtx, rows):
         self.ctx = ctx
         self._sb = SpanBuilder(ctx.p, ctx.dim)
-        self._sb.insert_many(_as_rows(ctx, rows))
+        self._sb.insert_many(ctx.rows(rows))
         if ctx.a > 1:  # xi generates F_q over F_p, so xi * V inside V makes V F_q-closed
             xi = ctx.subfield_generator(1)
             scaled = ctx.mul_many(self.basis, np.broadcast_to(xi, self.basis.shape))
@@ -73,8 +51,7 @@ class Subspace:
         return self._sb.rank // self.ctx.a
 
     def contains(self, x) -> bool:
-        v = x.vec if isinstance(x, FieldElement) else np.asarray(x, dtype=np.int64)
-        return self._sb.contains(v % self.ctx.p)
+        return self._sb.contains(self.ctx.element(x).vec)
 
     def contains_space(self, other: "Subspace") -> bool:
         return not self._sb.reduce(other.basis).any()
@@ -116,7 +93,7 @@ class Subspace:
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
         ctx = field_from_spec(d["field"])
-        return cls(ctx, [[c % ctx.p for c in int_list(row, "basis row")] for row in d["basis"]])
+        return cls(ctx, [int_list(row, "basis row") for row in d["basis"]])
 
     # -- dunder ------------------------------------------------------------------------
 
@@ -137,7 +114,7 @@ class Subspace:
 
 def span(ctx: FieldCtx, gens) -> Subspace:
     """F_q-span of the given elements (or F_p coefficient rows)."""
-    rows = _as_rows(ctx, gens)
+    rows = ctx.rows(gens)
     if ctx.a > 1 and rows.shape[0]:
         scalars = ctx.subfield_elements(1)[1:]
         rows = np.vstack([ctx.mul_many(np.broadcast_to(s, rows.shape), rows) for s in scalars])
@@ -166,17 +143,13 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     ctx = U.ctx
     if U.is_zero() or V.is_zero():
         return span(ctx, [])
-    A = np.vstack([U.basis, V.basis])
-    null = left_nullspace(A, ctx.p)
-    ru = U.fp_dim
-    rows = null[:, :ru] @ U.basis % ctx.p if null.shape[0] else np.zeros((0, ctx.dim), dtype=np.int64)
-    return Subspace(ctx, rows)
+    null = left_nullspace(np.vstack([U.basis, V.basis]), ctx.p)
+    return Subspace(ctx, null[:, : U.fp_dim] @ U.basis)
 
 
 def scale(V: Subspace, alpha: FieldElement) -> Subspace:
     """The subspace alpha * V."""
-    if alpha.ctx != V.ctx:
-        raise ValueError("scalar from a different field")
+    alpha = V.ctx.element(alpha)
     if alpha.is_zero():
         raise ValueError("scaling by zero collapses the space")
     return Subspace(V.ctx, V.ctx.mul_many(V.basis, np.broadcast_to(alpha.vec, V.basis.shape)))
