@@ -285,6 +285,14 @@ def test_experiment_counts_are_positive_integers(capsys, argv):
     assert "must be" in err
 
 
+@pytest.mark.parametrize("value", ['"no"', "no", "1", "null"])
+def test_experiment_collect_audits_is_a_json_boolean(capsys, value):
+    code, out, err = run_cli(capsys, "experiment", "prop-f26", "--param", f"collect_audits={value}")
+    assert code == 64
+    assert out == ""
+    assert "collect_audits must be true or false" in err
+
+
 def test_missing_file_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "span", str(tmp_path / "absent.json"))
     assert code == 64

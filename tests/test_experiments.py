@@ -100,6 +100,18 @@ def test_table_audit_collection():
     assert sweep["violations"] == 0
 
 
+def test_table_audits_off():
+    rep = run_experiment(ExperimentSpec("table2", {"limit": 1, "collect_audits": False}))
+    assert rep.audits == []
+
+
+@pytest.mark.parametrize("name", ["table2", "prop-f26", "prop-trace-9", "brset-316"])
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_collect_audits_must_be_a_json_boolean(name, value):
+    with pytest.raises(ValueError, match="collect_audits must be true or false"):
+        run_experiment(ExperimentSpec(name, {"collect_audits": value}))
+
+
 def test_prop_f26_mismatch_is_visible():
     rep = run_experiment(ExperimentSpec("prop-f26"))
     assert rep.verdict == "mismatch" and rep.exit_code == 1

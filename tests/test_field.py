@@ -121,11 +121,75 @@ def test_powers_match_repeated_multiplication(p, a, n):
     assert ctx.mul(ctx.pow_elem(u, -3), ctx.pow_elem(u, 3)).tolist() == ctx.one_vec.tolist()
 
 
+@pytest.mark.parametrize("p,a,n", [(2, 1, 9), (3, 1, 5), (2, 2, 3)])
+def test_mul_many_broadcasts_like_pairwise_mul(p, a, n):
+    ctx = make_field(p, a, n)
+    rng = np.random.default_rng(p * a * n)
+    U, W = rng.integers(0, p, (5, ctx.dim)), rng.integers(0, p, (4, ctx.dim))
+    u = W[0]
+
+    def mul(x, y):
+        return ctx.mul(x, y).tolist()
+
+    assert ctx.mul_many(U, u).tolist() == [mul(x, u) for x in U]  # (N, d) x (d,)
+    assert ctx.mul_many(u, U).tolist() == [mul(u, x) for x in U]  # (d,) x (N, d)
+    assert ctx.mul_many(U[:, None], W).tolist() == [[mul(x, y) for y in W] for x in U]
+    assert ctx.mul_many(U[:4], W).tolist() == [mul(x, y) for x, y in zip(U, W)]
+    assert ctx.mul_many(u, U[1]).tolist() == mul(u, U[1])  # two elements give one
+    assert ctx.mul_many(U[:0], u).shape == (0, ctx.dim)
+    assert ctx.mul_many(U[:0], W[:0]).shape == (0, ctx.dim)
+    assert ctx.mul_many(U[:0, None], W).shape == (0, 4, ctx.dim)
+
+
 def test_reducible_modulus_is_rejected():
     with pytest.raises(ConstructionError, match="reducible"):
         FieldCtx(2, 1, 4, np.array([1, 0, 0, 0, 1]))  # x^4 + 1 = (x + 1)^4
     with pytest.raises(ConstructionError, match="reducible"):
         make_field(3, 1, 2, modulus=[2, 0, 1])  # x^2 - 1
+
+
+MODULUS_BUILDERS = {
+    "make_field": lambda p, n, mod: make_field(p, 1, n, modulus=mod),
+    "FieldCtx": lambda p, n, mod: FieldCtx(p, 1, n, mod),
+}
+
+
+@pytest.mark.parametrize("build", MODULUS_BUILDERS.values(), ids=MODULUS_BUILDERS)
+@pytest.mark.parametrize(
+    "p,n,mod",
+    [
+        (2, 3, [1, 1.5, 0, 1]),
+        (3, 2, [1.9, 0.2, 1.7]),
+        (2, 3, [1, True, 0, 1]),
+        (2, 3, np.array([1.0, 1.0, 0.0, 1.0])),
+        (2, 3, np.array([True, True, False, True])),
+    ],
+    ids=["float", "floats", "bool", "float-array", "bool-array"],
+)
+def test_modulus_refuses_floats_and_bools(build, p, n, mod):
+    with pytest.raises(ValueError, match="must be integers"):
+        build(p, n, mod)
+
+
+@pytest.mark.parametrize("build", MODULUS_BUILDERS.values(), ids=MODULUS_BUILDERS)
+@pytest.mark.parametrize(
+    "mod",
+    [[1, 1, 0, 1], [3, -1, 2, 1 + 2**70], np.array([5, 3, 4, 7]), np.array([1, 1, 0, 1], dtype=np.uint8)],
+    ids=["ints", "big-ints", "int64-array", "uint8-array"],
+)
+def test_modulus_integers_are_read_mod_p(build, mod):
+    assert build(2, 3, mod).modulus.tolist() == [1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("build", MODULUS_BUILDERS.values(), ids=MODULUS_BUILDERS)
+@pytest.mark.parametrize("mod", [5, [1, 1, 1], [[1, 1, 0, 1]]], ids=["scalar", "short", "nested"])
+def test_modulus_of_the_wrong_shape_is_a_construction_error(build, mod):
+    with pytest.raises(ConstructionError, match="modulus must have degree 3"):
+        build(2, 3, mod)
+
+
+def test_modulus_cache_key_is_the_reduced_modulus():
+    assert make_field(2, 1, 3, modulus=[3, -1, 2, 1 + 2**70]) is make_field(2, 1, 3, modulus=[1, 1, 0, 1])
 
 
 def test_oversized_combinations_raise_budget_error():

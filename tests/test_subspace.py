@@ -79,6 +79,19 @@ def test_contains_and_reduce():
     assert not V.reduce_rows(V.elements()).any()
 
 
+@pytest.mark.parametrize("p,a,n", [(2, 1, 9), (3, 1, 5), (2, 2, 3)])
+def test_reduce_rows_of_a_stack_matches_row_by_row(p, a, n):
+    ctx = make_field(p, a, n)
+    rng = np.random.default_rng(p * a * n)
+    V = random_subspace(ctx, 2, rng)
+    stack = rng.integers(0, p, (3, 4, ctx.dim))
+    stack[1, 2] = V.basis[-1]  # a member reduces to zero
+    got = V.reduce_rows(stack)
+    assert got.shape == stack.shape
+    assert got.tolist() == [[V.reduce_rows(row).tolist() for row in block] for block in stack]
+    assert not got[1, 2].any()
+
+
 def test_scale_properties():
     ctx = make_field(2, 1, 9)
     g = find_generator(ctx)
