@@ -492,11 +492,8 @@ def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:
     for c, pl in zip(coeffs, fs):
         c[: pl.coeffs.shape[0]] = pl.coeffs
     # the F_q-rank is the F_p-rank of all nonzero F_q-multiples, divided by a
-    flat = coeffs.reshape(-1, scal.dim)
-    rows = np.vstack([
-        scal.mul_many(np.broadcast_to(s, flat.shape), flat).reshape(len(fs), -1)
-        for s in scal.subfield_elements(1)[1:]
-    ])
+    scalars = scal.subfield_elements(1)[1:]
+    rows = scal.mul_many(scalars[:, None, None], coeffs).reshape(-1, width * scal.dim)
     coeff_rank = rank(rows, scal.p) // scal.a
     evals = [pl.evaluate_in(ctx, gamma) for pl in fs]
     eval_dim = span(ctx, evals).dim

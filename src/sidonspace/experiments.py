@@ -21,7 +21,7 @@ from .brset import extract_brset
 from .constructions import binomial_family
 from .errors import int_scalar
 from .field import find_generator, make_field
-from .sidon import audit_bounds, is_r_sidon
+from .sidon import audit_bounds, is_r_sidon, max_span_bound
 from .subspace import random_subspace, span, span_levels
 
 
@@ -72,6 +72,14 @@ def _count_param(spec: ExperimentSpec, key: str, default: int | None = None) -> 
         return default
     if int_scalar(value, key) < 1:
         raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _flag_param(spec: ExperimentSpec, key: str) -> bool:
+    """``spec.params[key]`` as a JSON boolean; False when absent."""
+    value = spec.params.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -152,7 +160,7 @@ def _graph_table(
     s = 1
     limit = _count_param(spec, "limit")
     budget = _count_param(spec, "budget")
-    collect = bool(spec.params.get("collect_audits"))
+    collect = _flag_param(spec, "collect_audits")
     rows: list[dict] = []
     audits: list[dict] = []
     for idx, (r, n, k) in enumerate(rows_def[:limit]):
@@ -174,10 +182,9 @@ def _graph_table(
         ctx = make_field(q, 1, n)
         gamma = find_generator(ctx, over_m=k, seed=spec.seed)
         B = ctx.subfield_fp_basis(k)
-        g_bc = np.broadcast_to(gamma.vec, B.shape)
         e2 = second_exponent(k) % k
-        R1 = ctx.mul_many(ctx.frob_q(B, s % k), g_bc)
-        R2 = ctx.mul_many(ctx.frob_q(B, e2), g_bc)
+        R1 = ctx.mul_many(ctx.frob_q(B, s % k), gamma.vec)
+        R2 = ctx.mul_many(ctx.frob_q(B, e2), gamma.vec)
 
         deltas = ctx.subfield_elements(k)[1:]
         if norm_filter_even_k and k % 2 == 0:
@@ -188,14 +195,14 @@ def _graph_table(
         cap_violations = 0
         first_chain: list[int] | None = None
         for dv in deltas:
-            basis = (B + R1 + ctx.mul_many(np.broadcast_to(dv, R2.shape), R2)) % ctx.p
+            basis = (B + R1 + ctx.mul_many(dv, R2)) % ctx.p
             V = span(ctx, basis)
             if V.dim != k:
                 dims_seen[-1] += 1
                 continue
             dims = [lv.dim for lv in span_levels(V, r)]
             for lvl, d in enumerate(dims, start=1):
-                if d > min(n, math.comb(k + lvl - 1, lvl)):
+                if d > max_span_bound(n, k, lvl):
                     cap_violations += 1
             dims_seen[dims[-1]] += 1  # dim V^r: a shorter chain is stable
             if first_chain is None:
@@ -274,7 +281,7 @@ def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
     audit_violations = 0
     audit_checks = 0
     for gv in gammas:
-        rows = (B + ctx.mul_many(np.broadcast_to(gv, FB.shape), FB)) % ctx.p
+        rows = (B + ctx.mul_many(gv, FB)) % ctx.p
         V = span(ctx, rows)
         assert V.dim == k, "graph space lost dimension"
         rep2 = is_r_sidon(V, 2)
@@ -319,7 +326,7 @@ def run_prop_f26(spec: ExperimentSpec) -> ExperimentReport:
     n = 9 the claim holds for all 504 gamma; the n = 9 row is reported
     alongside as context and the mismatch is left visible.
     """
-    collect = bool(spec.params.get("collect_audits"))
+    collect = _flag_param(spec, "collect_audits")
     rows: list[dict] = []
     audits: list[dict] = []
     for n in (6, 9):
@@ -353,7 +360,7 @@ def run_prop_trace_9(spec: ExperimentSpec) -> ExperimentReport:
     Exhaustive over every gamma outside F_{q^3}; expectation: always Sidon,
     never 3-Sidon.
     """
-    collect = bool(spec.params.get("collect_audits"))
+    collect = _flag_param(spec, "collect_audits")
     limit = _count_param(spec, "limit")
     rows: list[dict] = []
     audits: list[dict] = []
@@ -441,7 +448,7 @@ def run_brset_316(spec: ExperimentSpec) -> ExperimentReport:
     and maps the 40 projective points through discrete logs to a B_3 set
     modulo (3^16 - 1)/2.
     """
-    collect = bool(spec.params.get("collect_audits"))
+    collect = _flag_param(spec, "collect_audits")
     q, k, s, t, r = 3, 4, 1, 4, 3
     ctx = make_field(q, 1, k * t, seed=spec.seed)
     gamma = find_generator(ctx, over_m=k, primitive=True, seed=spec.seed)

@@ -9,7 +9,10 @@ share one representation and can be mixed freely.
 Elements are little-endian numpy int64 coefficient vectors of length
 ``ctx.dim == a*n``; :class:`FieldElement` is a thin immutable wrapper for
 scalar work, while batch kernels (``mul_many``, ``frob_q``, ...) operate on
-(N x dim) arrays directly. Both powers (``pow_elem``, ``pow_many``) run
+arrays of rows directly. ``mul_many`` is the one field-product kernel for
+every batch shape: it takes any two (..., dim) arrays whose leading shapes
+broadcast, so outer products and scalings need no repeated copies. Both
+powers (``pow_elem``, ``pow_many``) run
 :func:`~sidonspace.linalg.square_multiply`, and :meth:`FieldCtx.is_primitive`
 is the one test for a generator of the multiplicative group.
 
@@ -62,10 +65,10 @@ class FieldCtx:
         self.seed = int(seed)
         #: the degrees m of the subfields F_{q^m}: the divisors of n, ascending
         self.subfield_degrees = tuple(int(d) for d in divisors(self.n))
-        mod = np.asarray(modulus, dtype=np.int64) % p
+        mod = self._ints(modulus)
         if mod.ndim != 1 or len(mod) != self.dim + 1:
             raise ConstructionError(
-                f"modulus must have degree {self.dim}, got degree {len(mod) - 1}"
+                f"modulus must have degree {self.dim}, got coefficients of shape {mod.shape}"
             )
         if mod[-1] != 1:
             raise ConstructionError("modulus must be monic")
@@ -110,14 +113,17 @@ class FieldCtx:
         return self._reduce(full[None, :])[0]
 
     def mul_many(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Elementwise products of two (N x dim) batches."""
-        U = np.atleast_2d(U)
-        V = np.atleast_2d(V)
-        N, d = U.shape
-        full = np.zeros((N, 2 * d - 1), dtype=np.int64)
+        """Elementwise products of two (..., dim) batches whose leading shapes broadcast.
+
+        (N, 1, dim) times (M, dim) gives all N*M products; two elements give one.
+        The reduction runs on a flat 2-D view: ``@`` over a stack is slower.
+        """
+        U, V, d = np.asarray(U), np.asarray(V), self.dim
+        shape = np.broadcast_shapes(U.shape[:-1], V.shape[:-1])
+        full = np.zeros(shape + (2 * d - 1,), dtype=np.int64)
         for i in range(d):
-            full[:, i : i + d] += U[:, i : i + 1] * V
-        return self._reduce(full % self.p)
+            full[..., i : i + d] += U[..., i : i + 1] * V
+        return self._reduce(full.reshape(-1, 2 * d - 1) % self.p).reshape(shape + (d,))
 
     def inv(self, u: np.ndarray) -> np.ndarray:
         """Multiplicative inverse by extended Euclid against the modulus."""
@@ -282,14 +288,11 @@ class FieldCtx:
             lead = np.where(nz.any(axis=1), lead, 1)
             return (U * self._inv_table[lead][:, None]) % self.p
         scalars = self.subfield_elements(1)[1:]
-        s = scalars.shape[0]
         out = np.empty_like(U)
-        step = max(1, (1 << 16) // s)  # orbit rows per chunk
+        step = max(1, (1 << 16) // scalars.shape[0])  # orbit rows per chunk
         for lo in range(0, U.shape[0], step):
             chunk = U[lo : lo + step]
-            orbit = self.mul_many(
-                np.repeat(chunk, s, axis=0), np.tile(scalars, (chunk.shape[0], 1))
-            ).reshape(-1, s, self.dim)
+            orbit = self.mul_many(chunk[:, None], scalars)
             # lexicographic minimum: narrow each orbit column by column
             best = np.ones(orbit.shape[:2], dtype=bool)
             for j in range(self.dim):
@@ -502,10 +505,10 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
     yields the same field representation.
     """
     _check_params(p, a, n)
-    if modulus is not None:  # reduced as Python ints, so entries beyond int64 are read mod p
-        mod = np.array([int(c) % p for c in modulus], dtype=np.int64)
+    if modulus is not None:  # read like any coefficient row: integers mod p, no floats or bools
+        mod = prime_ctx(p)._ints(modulus)
         key = (p, a, n, mod.tobytes(), seed)
-        if key not in _CTX_CACHE:
+        if mod.ndim != 1 or key not in _CTX_CACHE:  # FieldCtx refuses a wrong shape
             _CTX_CACHE[key] = FieldCtx(p, a, n, mod, seed=seed)
         return _CTX_CACHE[key]
     key = (p, a, n, None, seed)

@@ -56,10 +56,11 @@ def pmul(ctx, f, g):
     if f.shape[0] == 0 or g.shape[0] == 0:
         return f[:0]
     lf, lg = f.shape[0], g.shape[0]
+    prods = ctx.mul_many(f[:, None], g)  # [i, j]: f_i g_j
     full = np.zeros((lf + lg - 1, ctx.dim), dtype=np.int64)
     for i in range(lf):
-        full[i : i + lg] = (full[i : i + lg] + ctx.mul_many(np.broadcast_to(f[i], (lg, ctx.dim)), g)) % ctx.p
-    return _norm(full)
+        full[i : i + lg] += prods[i]
+    return _norm(full % ctx.p)
 
 
 def pdivmod(ctx, f, g):
@@ -77,7 +78,7 @@ def pdivmod(ctx, f, g):
             continue
         c = ctx.mul(top, lead_inv)
         quo[k] = c
-        rem[k : k + dg + 1] = (rem[k : k + dg + 1] - ctx.mul_many(np.broadcast_to(c, (dg + 1, ctx.dim)), g)) % ctx.p
+        rem[k : k + dg + 1] = (rem[k : k + dg + 1] - ctx.mul_many(c, g)) % ctx.p
     return _norm(quo), _norm(rem[:dg])
 
 
@@ -95,10 +96,10 @@ def _x_power_coords(ctx, f, start: int, step: int, count: int) -> np.ndarray:
     """
     f = _norm(f)
     m, a, p = pdeg(f), ctx.dim, ctx.p
-    f = ctx.mul_many(np.broadcast_to(ctx.inv(f[-1]), f.shape), f)  # monic
+    f = ctx.mul_many(ctx.inv(f[-1]), f)  # monic
     C = np.eye(a * m, k=a, dtype=np.int64)  # e_t x^j -> e_t x^(j+1) for j < m-1
     # e_t x^m = -e_t (f_0 + ... + f_(m-1) x^(m-1))
-    low = ctx.mul_many(np.repeat(np.eye(a, dtype=np.int64), m, axis=0), np.tile(f[:m], (a, 1)))
+    low = ctx.mul_many(np.eye(a, dtype=np.int64)[:, None], f[:m])  # [t, j]: e_t f_j
     C[a * (m - 1) :] = -low.reshape(a, a * m) % p
     rows, S = mat_pow(C, start, p)[:a], mat_pow(C, step, p)
     out = np.empty((count, a, a * m), dtype=np.int64)

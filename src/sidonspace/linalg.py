@@ -108,16 +108,16 @@ class SpanBuilder:
         """Reduce a batch of rows against the current basis.
 
         Args:
-            rows: (m x ncols) array; not modified.
+            rows: (..., ncols) array of any leading shape; not modified.
 
         Returns:
-            (m x ncols) array of residuals. A residual is zero exactly when
+            Residuals of the same shape. A residual is zero exactly when
             the corresponding row lies in the accumulated span.
         """
-        rows = np.atleast_2d(rows) % self.p
+        rows = np.asarray(rows) % self.p
         if not self._pivots:
             return rows
-        return (rows - rows[:, self._pivots] @ self._basis) % self.p
+        return (rows - rows[..., self._pivots] @ self._basis) % self.p
 
     def contains(self, rows: np.ndarray) -> bool:
         return not self.reduce(rows).any()

@@ -156,12 +156,7 @@ def semilinear_equivalent(
         chunk = max(1, 4096 // max(r, 1))
         for lo in range(0, pts.shape[0], chunk):
             al = pts[lo : lo + chunk]
-            c = al.shape[0]
-            left = np.repeat(al, r, axis=0)
-            right = np.tile(B, (c, 1))
-            prods = ctx.mul_many(left, right)
-            resid = U.reduce_rows(prods).reshape(c, r, ctx.dim)
-            hits = ~resid.any(axis=(1, 2))
+            hits = ~U.reduce_rows(ctx.mul_many(al[:, None], B)).any(axis=(1, 2))
             if hits.any():
                 idx = int(np.flatnonzero(hits)[0])
                 alpha = FieldElement(ctx, al[idx])
@@ -223,10 +218,8 @@ def verify_glk2_certificate(
     Us = np.hstack(
         [ctx.frob_p(B, sigma), ctx.frob_p(fB, sigma)]
     )
-    WA_left = (ctx.mul_many(B, np.broadcast_to(c.vec, B.shape))
-               + ctx.mul_many(gB, np.broadcast_to(a.vec, gB.shape))) % ctx.p
-    WA_right = (ctx.mul_many(B, np.broadcast_to(d.vec, B.shape))
-                + ctx.mul_many(gB, np.broadcast_to(b.vec, gB.shape))) % ctx.p
+    WA_left = (ctx.mul_many(B, c.vec) + ctx.mul_many(gB, a.vec)) % ctx.p
+    WA_right = (ctx.mul_many(B, d.vec) + ctx.mul_many(gB, b.vec)) % ctx.p
     WA = np.hstack([WA_left, WA_right])
     pairs_eq = np.array_equal(rref(Us, ctx.p)[0], rref(WA, ctx.p)[0])
     cond_pairs = bool(pairs_eq and xi == xi_formula)

@@ -66,21 +66,21 @@ class LinearizedPoly:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate_many(self, U: np.ndarray) -> np.ndarray:
-        """Apply f to each row of an (N x dim) batch from F_{q^k}."""
-        U = np.atleast_2d(U)
+        """Apply f to each row of a (..., dim) batch from F_{q^k}."""
+        U = np.asarray(U)
         ctx = self.ctx
         acc = np.zeros_like(U)
         for i in range(self.k):
             ci = self.coeffs[i]
             if not ci.any():
                 continue
-            term = ctx.mul_many(ctx.frob_q(U, i), np.broadcast_to(ci, U.shape))
+            term = ctx.mul_many(ctx.frob_q(U, i), ci)
             acc = (acc + term) % ctx.p
         return acc
 
     def evaluate(self, x) -> FieldElement | np.ndarray:
         """f(x): a FieldElement for a FieldElement argument, else a coefficient vector."""
-        y = self.evaluate_many(self.ctx.element(x).vec[None, :])[0]
+        y = self.evaluate_many(self.ctx.element(x).vec)
         return FieldElement(self.ctx, y) if isinstance(x, FieldElement) else y
 
     def __call__(self, x):
@@ -95,8 +95,7 @@ class LinearizedPoly:
 
     def scale(self, coeff) -> "LinearizedPoly":
         v = self.ctx.element(coeff).vec
-        rows = self.ctx.mul_many(self.coeffs, np.broadcast_to(v, self.coeffs.shape))
-        return LinearizedPoly(self.ctx, self.k, rows)
+        return LinearizedPoly(self.ctx, self.k, self.ctx.mul_many(self.coeffs, v))
 
     def __neg__(self) -> "LinearizedPoly":
         return LinearizedPoly(self.ctx, self.k, -self.coeffs)
@@ -183,7 +182,7 @@ def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:
     ctx = f.ctx
     B = ctx.subfield_fp_basis(f.k)
     img = f.evaluate_many(B)
-    rows = (B + ctx.mul_many(img, np.broadcast_to(ctx.element(gamma).vec, img.shape))) % ctx.p
+    rows = (B + ctx.mul_many(img, ctx.element(gamma).vec)) % ctx.p
     return Subspace(ctx, rows)
 
 
@@ -209,9 +208,9 @@ def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:
         vals.append(bv)
     m, d, nb = len(pairs), ctx.dim, B.shape[0]
     U = np.array(args, dtype=np.int64).reshape(m, d)
-    powers = np.vstack([ctx.frob_q(U, j) for j in range(k)])  # row j*m + i: a_i^(q^j)
-    P = ctx.mul_many(np.repeat(powers, nb, axis=0), np.tile(B, (k * m, 1)))
-    A = P.reshape(k, m, nb, d).transpose(1, 3, 0, 2).reshape(m * d, k * nb)
+    powers = np.stack([ctx.frob_q(U, j) for j in range(k)])  # [j, i]: a_i^(q^j)
+    P = ctx.mul_many(powers[:, :, None], B)  # [j, i, t]: beta_t * a_i^(q^j)
+    A = P.transpose(1, 3, 0, 2).reshape(m * d, k * nb)
     rhs = np.array(vals, dtype=np.int64).reshape(m * d, 1)
     R, pivots = rref(np.hstack([A, rhs]), ctx.p)
     if pivots and pivots[-1] == k * nb:

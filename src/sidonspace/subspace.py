@@ -32,8 +32,7 @@ class Subspace:
         self._sb.insert_many(ctx.rows(rows))
         if ctx.a > 1:  # xi generates F_q over F_p, so xi * V inside V makes V F_q-closed
             xi = ctx.subfield_generator(1)
-            scaled = ctx.mul_many(self.basis, np.broadcast_to(xi, self.basis.shape))
-            if self._sb.reduce(scaled).any():
+            if self._sb.reduce(ctx.mul_many(self.basis, xi)).any():
                 raise ConstructionError("rows do not span an F_q-closed space")
 
     @property
@@ -57,7 +56,7 @@ class Subspace:
         return not self._sb.reduce(other.basis).any()
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Residuals of rows against this space (zero row = member)."""
+        """Residuals of (..., dim) rows against this space (zero row = member)."""
         return self._sb.reduce(rows)
 
     def is_zero(self) -> bool:
@@ -115,9 +114,8 @@ class Subspace:
 def span(ctx: FieldCtx, gens) -> Subspace:
     """F_q-span of the given elements (or F_p coefficient rows)."""
     rows = ctx.rows(gens)
-    if ctx.a > 1 and rows.shape[0]:
-        scalars = ctx.subfield_elements(1)[1:]
-        rows = np.vstack([ctx.mul_many(np.broadcast_to(s, rows.shape), rows) for s in scalars])
+    if ctx.a > 1:  # every F_q^*-multiple of every row
+        rows = ctx.mul_many(ctx.subfield_elements(1)[1:, None], rows).reshape(-1, ctx.dim)
     return Subspace(ctx, rows)
 
 
@@ -152,7 +150,7 @@ def scale(V: Subspace, alpha: FieldElement) -> Subspace:
     alpha = V.ctx.element(alpha)
     if alpha.is_zero():
         raise ValueError("scaling by zero collapses the space")
-    return Subspace(V.ctx, V.ctx.mul_many(V.basis, np.broadcast_to(alpha.vec, V.basis.shape)))
+    return Subspace(V.ctx, V.ctx.mul_many(V.basis, alpha.vec))
 
 
 def frob_image(V: Subspace, j: int = 1, *, p_power: bool = False) -> Subspace:
@@ -166,12 +164,7 @@ def product(U: Subspace, V: Subspace) -> Subspace:
     if U.ctx != V.ctx:
         raise ValueError("subspaces live in different fields")
     ctx = U.ctx
-    BU, BV = U.basis, V.basis
-    if BU.shape[0] == 0 or BV.shape[0] == 0:
-        return span(ctx, [])
-    left = np.repeat(BU, BV.shape[0], axis=0)
-    right = np.tile(BV, (BU.shape[0], 1))
-    return Subspace(ctx, ctx.mul_many(left, right))
+    return Subspace(ctx, ctx.mul_many(U.basis[:, None], V.basis).reshape(-1, ctx.dim))
 
 
 def span_levels(V: Subspace, count: int) -> list[Subspace]:
@@ -274,10 +267,8 @@ def stabilizer(V: Subspace) -> int:
     if V.is_zero():
         return ctx.n
     cands = [m for m in ctx.subfield_degrees if V.dim % m == 0]
-    B = V.basis
-    xis = np.repeat([ctx.subfield_generator(m) for m in cands], B.shape[0], axis=0)
-    img = ctx.mul_many(np.tile(B, (len(cands), 1)), xis)
-    closed = ~V.reduce_rows(img).reshape(len(cands), -1).any(axis=1)
+    xis = np.array([ctx.subfield_generator(m) for m in cands])
+    closed = ~V.reduce_rows(ctx.mul_many(xis[:, None], V.basis)).any(axis=(1, 2))
     return max(m for m, ok in zip(cands, closed) if ok)
 
 
@@ -342,14 +333,8 @@ def intersection_dims_with_scaled(V: Subspace, alphas: np.ndarray) -> np.ndarray
     Uses rank(V) + rank(alpha V) - rank(V + alpha V) on stacked bases,
     vectorized over the whole batch.
     """
-    ctx = V.ctx
-    B = V.basis
-    r = B.shape[0]
-    alphas = np.atleast_2d(alphas)
-    N = alphas.shape[0]
-    scaled = ctx.mul_many(
-        np.repeat(alphas, r, axis=0), np.tile(B, (N, 1))
-    ).reshape(N, r, ctx.dim)
-    stacked = np.concatenate([np.broadcast_to(B, (N, r, ctx.dim)), scaled], axis=1)
+    ctx, B = V.ctx, V.basis
+    scaled = ctx.mul_many(np.atleast_2d(alphas)[:, None], B)
+    stacked = np.concatenate([np.broadcast_to(B, scaled.shape), scaled], axis=1)
     ranks = batch_rank(stacked, ctx.p)
-    return (2 * r - ranks) // ctx.a
+    return (2 * B.shape[0] - ranks) // ctx.a
