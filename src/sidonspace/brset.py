@@ -8,7 +8,6 @@ through discrete logs of their projective points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +15,8 @@ import numpy as np
 
 from .errors import BudgetError, int_list, int_scalar
 from .field import DiscreteLogTable, FieldElement
-from .sidon import DEFAULT_BUDGET, is_r_sidon
+from .sidon import DEFAULT_BUDGET, first_collision, is_r_sidon
 from .subspace import Subspace
-
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,10 @@ class BrSet:
 def is_br_set(S, r: int, modulus: int | None = None, budget: int = DEFAULT_BUDGET):
     """Check the r-fold sum distinctness of S, by full enumeration.
 
-    Returns (True, None) or (False, witness) with witness holding the two
-    colliding multisets and their common sum. Raises BudgetError when the
-    number of multisets C(|S|+r-1, r) exceeds the budget.
+    :func:`~sidonspace.sidon.first_collision` keys each multiset by its sum
+    (reduced by the modulus). Returns (True, None) or (False, witness) with
+    witness holding the two colliding multisets and their common sum. Raises
+    BudgetError when the number of multisets C(|S|+r-1, r) exceeds the budget.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -75,28 +73,22 @@ def is_br_set(S, r: int, modulus: int | None = None, budget: int = DEFAULT_BUDGE
         raise BudgetError(
             f"{total} multisets exceed the budget of {budget}", required=total
         )
-    if elems and elems[-1] * r >= 2**62:
+    if r * max(elems[-1], -elems[0]) >= 2**62:
         raise ValueError("elements too large for int64 sum enumeration")
     E = np.asarray(elems, dtype=np.int64)
-    seen: dict[int, tuple[int, ...]] = {}
-    it = itertools.combinations_with_replacement(range(N), r)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.int64)
-        sums = E[idx].sum(axis=1)
-        if modulus is not None:
-            sums %= modulus
-        for row, s in zip(chunk, sums.tolist()):
-            prev = seen.get(s)
-            if prev is None:
-                seen[s] = row
-            elif prev != row:
-                wa = tuple(elems[i] for i in prev)
-                wb = tuple(elems[i] for i in row)
-                return False, {"sum": int(s), "multiset_a": wa, "multiset_b": wb}
-    return True, None
+    # every sum is at most r * max(S) < 2^62: a larger modulus, even one beyond int64, changes none
+    wrap = modulus is not None and modulus <= r * elems[-1]
+
+    def sums(idx: np.ndarray) -> np.ndarray:
+        s = E[idx].sum(axis=1)
+        return s % modulus if wrap else s
+
+    pair, _ = first_collision(N, r, sums)
+    if pair is None:
+        return True, None
+    wa, wb = (tuple(elems[i] for i in ms) for ms in pair)
+    s = sum(wb) % modulus if modulus else sum(wb)
+    return False, {"sum": s, "multiset_a": wa, "multiset_b": wb}
 
 
 def discrete_log(x: FieldElement, gamma: FieldElement, table: DiscreteLogTable | None = None) -> int:
@@ -126,6 +118,8 @@ def extract_brset(
     translate, the set is shifted so its minimum is 0. With verify, the
     extracted set is re-checked as a B_r-set by sum enumeration.
     """
+    if V.is_zero():
+        raise ValueError("cannot extract a B_r-set from the zero space")
     ctx = V.ctx
     gamma = ctx.element(gamma)
     if not ctx.is_primitive(gamma.vec):

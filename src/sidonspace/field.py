@@ -41,6 +41,10 @@ _EMBED_CACHE: dict = {}
 #: dim * (p-1)^2 before reduction) cannot overflow for any dim below 2^31.
 MAX_P = 1 << 16
 
+#: Upper bound on a*n, checked before q = p^a or any table is built. The package builds
+#: at most F_7^61 (dim 61); a random F_2^128 takes about 1 s to set up, F_2^256 a minute.
+MAX_DIM = 128
+
 
 def _check_params(p: int, a: int, n: int) -> None:
     if p >= MAX_P:
@@ -49,6 +53,8 @@ def _check_params(p: int, a: int, n: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
     if a < 1 or n < 1:
         raise ValueError("a and n must be positive")
+    if a * n > MAX_DIM:
+        raise ValueError(f"a*n must be at most {MAX_DIM}, got {a * n}")
 
 
 class FieldCtx:

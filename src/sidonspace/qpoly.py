@@ -13,6 +13,7 @@ import numpy as np
 from .errors import NoSuchElementError, int_scalar
 from .field import FieldCtx, FieldElement, field_from_spec
 from .linalg import left_nullspace, rref
+from .sidon import first_collision
 from .subspace import Subspace, span, subfield_space
 
 
@@ -149,32 +150,22 @@ def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):
 
     Two arguments on the same F_q-line share the value f(a)/a, so the map
     descends to projective points; f is scattered exactly when it is
-    injective there. A failure witness is a pair of independent arguments
-    with equal value (the witness is re-verified before returning).
+    injective there, which :func:`~sidonspace.sidon.first_collision` decides
+    with r = 1. A failure witness is a pair of independent arguments with
+    equal value (the witness is re-verified before returning).
     """
     ctx = f.ctx
     pts = subfield_space(ctx, f.k).projective_points()
-    vals = f.evaluate_many(pts)
-    keys: dict[bytes, int] = {}
-    witness = None
-    for i in range(pts.shape[0]):
-        v = vals[i]
-        key = (ctx.mul(v, ctx.inv(pts[i])) if v.any() else np.zeros(ctx.dim, dtype=np.int64)).tobytes()
-        j = keys.get(key)
-        if j is not None:
-            witness = (pts[j].copy(), pts[i].copy())
-            break
-        keys[key] = i
-    if witness is not None:
-        a, b = witness
-        fa, fb = f.evaluate_many(np.vstack([a, b]))
-        if fa.any() and fb.any():
-            assert (ctx.mul(fa, ctx.inv(a)) == ctx.mul(fb, ctx.inv(b))).all()
-        else:
-            assert not fa.any() and not fb.any()
-        assert span(ctx, [a, b]).dim == 2
-        return (False, (a, b)) if return_witness else False
-    return (True, None) if return_witness else True
+    # f(a) a^(q^k - 2) is f(a)/a on F_{q^k}^*, and 0 where f(a) = 0
+    vals = ctx.mul_many(f.evaluate_many(pts), ctx.pow_many(pts, ctx.q**f.k - 2))
+    pair, _ = first_collision(pts.shape[0], 1, lambda idx: vals[idx[:, 0]])
+    if pair is None:
+        return (True, None) if return_witness else True
+    a, b = (pts[i].copy() for (i,) in pair)
+    fa, fb = f.evaluate_many(np.vstack([a, b]))
+    assert (ctx.mul(fa, b) == ctx.mul(fb, a)).all()  # f(a)/a = f(b)/b, zero values included
+    assert span(ctx, [a, b]).dim == 2
+    return (False, (a, b)) if return_witness else False
 
 
 def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:

@@ -7,7 +7,7 @@ from sidonspace.constructions import trace_space
 from sidonspace.errors import BudgetError
 from sidonspace.field import DiscreteLogTable, find_generator, make_field
 from sidonspace.qpoly import LinearizedPoly, v_f_gamma
-from sidonspace.subspace import scale
+from sidonspace.subspace import Subspace, scale
 
 TRACE39_ELEMENTS = (0, 166, 177, 757, 799, 1212, 2271, 3144, 3196, 6542, 6813, 9630, 9827)
 
@@ -47,6 +47,29 @@ def test_is_br_set_validation():
     with pytest.raises(BudgetError) as ei:
         is_br_set(range(100), 3, budget=10)
     assert ei.value.required == 171700  # C(102, 3)
+
+
+def test_modulus_beyond_every_sum_gives_the_integer_verdict():
+    # every sum stays below r * max(S) < 2^62, so a modulus beyond int64 leaves them as they are
+    for modulus in (2**62, 2**70):
+        assert is_br_set([0, 1, 3], 2, modulus=modulus) == (True, None)
+        assert is_br_set([0, 1, 2, 3], 2, modulus=modulus) == is_br_set([0, 1, 2, 3], 2)
+
+
+def test_large_negative_elements_are_refused_not_wrapped():
+    # 3 * (1 - 2^63) wraps in int64 onto (1 - 2^63) + 1 + 1, a false collision
+    with pytest.raises(ValueError, match="too large"):
+        is_br_set([1 - 2**63, 1], 3)
+    with pytest.raises(ValueError, match="too large"):
+        is_br_set([-(2**70), 0], 2)
+    assert is_br_set([-(2**60), 1], 3) == (True, None)
+
+
+def test_extract_from_the_zero_space_is_refused():
+    ctx = make_field(2, 1, 9)
+    gamma = find_generator(ctx, primitive=True)
+    with pytest.raises(ValueError, match="zero space"):
+        extract_brset(Subspace(ctx, []), 2, gamma)
 
 
 def test_brset_round_trip_and_defaults():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sidonspace.cli import main
+from sidonspace.field import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +232,36 @@ def test_brset_extract_rejects_non_sidon(capsys, tmp_path):
     assert code == 64
 
 
+def test_brset_extract_of_the_zero_space_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"field": {"p": 2, "a": 1, "n": 9}, "basis": []}))
+    code, out, err = run_cli(capsys, "brset", "extract", str(f))
+    assert code == 64 and out == ""
+    assert "zero space" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "elements,code,witness",
+    [([0, 1, 3], 0, None), ([0, 1, 2, 3], 1, {"sum": 2, "multiset_a": [0, 2], "multiset_b": [1, 1]})],
+    ids=["b2", "not-b2"],
+)
+def test_brset_verify_with_a_modulus_beyond_int64(capsys, tmp_path, elements, code, witness):
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps({"elements": elements, "modulus": 2**70, "r": 2}))
+    got, rep, _ = run_json(capsys, "brset", "verify", str(f))
+    assert got == code
+    assert rep["verified"] is (code == 0)
+    assert rep["witness"] == witness and rep["modulus"] == 2**70
+
+
+def test_brset_verify_of_elements_beyond_int64_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "set.json"
+    f.write_text(json.dumps({"elements": [-(2**70), 0], "r": 2}))
+    code, out, err = run_cli(capsys, "brset", "verify", str(f))
+    assert code == 64 and out == ""
+    assert "too large" in err
+
+
 def test_experiment_json_and_exit_codes(capsys):
     code, rep, _ = run_json(capsys, "experiment", "sample-f2-9", "--samples", "120")
     assert code == 0
@@ -317,6 +348,27 @@ def test_field_rejects_a_large_characteristic(capsys):
     code, out, err = run_cli(capsys, "field", "65537", "1")
     assert code == 64
     assert "below 65536" in err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"p": 2, "a": 1, "n": MAX_DIM + 1},
+        {"p": 2, "a": 3, "n": MAX_DIM // 3 + 1},
+        {"q": 2 ** (MAX_DIM + 1), "n": 1},
+        {"p": 2, "a": 2**70, "n": 1, "modulus": [1, 1]},
+    ],
+    ids=["n", "a-times-n", "q", "huge-a"],
+)
+def test_a_field_above_the_dimension_bound_is_a_usage_error(capsys, tmp_path, field):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"field": field, "basis": [[1]]}))
+    for argv in (["span", str(f)], ["check", str(f)], ["brset", "extract", str(f)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == ""
+        assert f"at most {MAX_DIM}" in err
+    code, out, err = run_cli(capsys, "field", "2", str(MAX_DIM + 1))
+    assert code == 64 and f"at most {MAX_DIM}" in err
 
 
 def test_parser_level_errors_use_64(capsys, tmp_path):

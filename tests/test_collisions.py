@@ -11,11 +11,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sidonspace.brset import is_br_set
 from sidonspace.field import DiscreteLogTable, FieldElement, find_generator, make_field
 from sidonspace.qpoly import LinearizedPoly, is_scattered
-from sidonspace.sidon import is_r_sidon
+from sidonspace.sidon import first_collision, is_r_sidon
 from sidonspace.subspace import random_subspace, subfield_space
 
 BLOCK = 8192  # a collision counts multisets_checked through its block
@@ -35,6 +36,44 @@ def first_repeat(keys: list) -> tuple[int, int] | None:
 
 def multisets(N: int, r: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(N), r))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    N=st.integers(0, 40),
+    r=st.integers(1, 3),
+    m=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(0, 2**20),
+    t=st.integers(0, 2**20),
+)
+# the repeat is the last of 11,480 multisets: 8,192 of the first block and 3,288 of the second
+@example(N=40, r=3, m=0, seed=0, s=8000, t=11479)
+def test_first_collision_matches_all_pairs(N, r, m, seed, s, t):
+    """m > 0: keys are weighted sums mod m; m = 0: distinct keys but one planted repeat."""
+    mss = multisets(N, r)
+    if m:
+        w = np.random.default_rng(seed).integers(0, 10**6, size=N)
+        keys = [int(w[list(ms)].sum()) % m for ms in mss]
+    else:
+        keys = list(range(len(mss)))
+        if len(mss) >= 2:
+            t = 1 + (t - 1) % (len(mss) - 1)
+            keys[t] = s % t
+    rank = {ms: i for i, ms in enumerate(mss)}
+
+    def key_rows(idx):
+        assert idx.dtype == np.int64 and idx.shape[1] == r and idx.shape[0] <= BLOCK
+        return np.array([keys[rank[tuple(row)]] for row in idx.tolist()], dtype=np.int64)
+
+    pair, checked = first_collision(N, r, key_rows)
+    hit = first_repeat(keys)
+    if hit is None:
+        assert (pair, checked) == (None, len(mss))
+    else:
+        earlier, later = hit
+        assert pair == (mss[earlier], mss[later])
+        assert checked == min(len(mss), (later // BLOCK + 1) * BLOCK)
 
 
 def spaces(field):
@@ -115,12 +154,6 @@ def test_is_br_set_matches_all_pairs(seed):
     for r in (1, 2, 3):
         for modulus in (None, 1, 31, 64, 1000):
             assert is_br_set(elems, r, modulus=modulus) == _reference_br(elems, r, modulus)
-
-
-def test_is_br_set_pins():
-    assert is_br_set([0, 1, 3], 2) == (True, None)
-    assert is_br_set([0, 1, 2, 3], 2) == (False, {"sum": 2, "multiset_a": (0, 2), "multiset_b": (1, 1)})
-    assert is_br_set([0, 1, 3], 2, modulus=6) == (False, {"sum": 0, "multiset_a": (0, 0), "multiset_b": (3, 3)})
 
 
 def _polys(ctx):

@@ -5,6 +5,7 @@ import sympy
 from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import (
     DiscreteLogTable,
+    MAX_DIM,
     FieldCtx,
     FieldElement,
     field_from_spec,
@@ -24,6 +25,19 @@ def test_characteristic_bound():
     with pytest.raises(ValueError, match="below 65536"):
         FieldCtx(65537, 1, 1, np.array([0, 1]))
     assert make_field(65521).p == 65521
+
+
+def test_dimension_bound_is_checked_before_anything_is_built():
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}, got {MAX_DIM + 1}"):
+        make_field(2, 1, MAX_DIM + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}"):
+        make_field(3, 3, MAX_DIM // 3 + 1)
+    # q = p^a would have 2^70 bits: the bound must come first
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}"):
+        make_field(2, 2**70, 1, modulus=[1, 1])
+    with pytest.raises(ValueError, match=f"at most {MAX_DIM}"):
+        FieldCtx(2, 2**70, 1, np.array([1, 1]))
+    assert MAX_DIM >= 61  # F_7^61, the largest field the experiments build
 
 
 def test_prime_field_arithmetic():
