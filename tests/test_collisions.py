@@ -80,8 +80,8 @@ def spaces(field):
     ctx = make_field(*field)
     rng = np.random.default_rng(field)
     out = [random_subspace(ctx, k, rng) for k in (2, 2, 2, 3, 3)]
-    out.append(subfield_space(ctx, ctx.subfield_degrees[-2]))  # a proper subfield: not Sidon
-    return [V for V in out if V.dim >= 1]
+    # the largest proper subfield, not Sidon once its dimension is 2 or more
+    return out + [subfield_space(ctx, ctx.subfield_degrees[-2])]
 
 
 def _product_key(ctx, pts, ms) -> bytes:
