@@ -63,6 +63,13 @@ def test_construct_failure_is_usage_error(capsys):
     assert code == 64 and "error" in err
 
 
+def test_construct_binomial_refuses_k_zero_before_the_exponent(capsys):
+    # the second exponent is reduced mod k, so k = 0 must be refused by the field first
+    code, out, err = run_cli(capsys, "construct", "binomial", "--q", "3", "--k", "0", "--t", "3")
+    assert code == 64 and out == ""
+    assert "a and n must be positive" in err
+
+
 def make_space_file(capsys, tmp_path, name, *argv):
     out = tmp_path / name
     code, rep, _ = run_json(capsys, *argv, "--out", str(out))

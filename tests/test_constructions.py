@@ -127,6 +127,18 @@ def test_binomial_even_k_end_claims_nothing_without_norm():
     assert "sidon" not in rec.claims
 
 
+@pytest.mark.parametrize("variant", ["mid", "end"])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("t", [2, 3])
+def test_binomial_claims_sidon_exactly_when_t_exceeds_two(variant, k, t):
+    # every delta the builder accepts is admissible, so t alone decides the claim
+    rec = binomial_family(3, k, 1, t, variant)
+    again = binomial_family(3, k, 1, t, variant, delta=rec.chosen["delta"])
+    for r in (rec, again):
+        assert ("sidon" in r.claims) == (t > 2)
+    assert again.space == rec.space
+
+
 def test_trace_record_and_sidon_threshold():
     rec = trace_space(2, 3, 3)
     assert rec.name == "trace"

@@ -1,7 +1,9 @@
 """Golden report digests: every experiment at quick-suite settings.
 
-Each digest is the sha256 of ``run_experiment(...).to_json()`` at seed 0.
-A change to the arithmetic, the row reduction or the enumeration order of
+Each entry pins two sha256 digests of one ``run_experiment(...)`` report at
+seed 0: of ``to_json()``, and of ``to_csv()``. The JSON is written with
+sorted keys, so only the CSV header sees the order in which a row's keys
+were inserted. A change to the arithmetic, the row reduction or the enumeration order of
 deltas and gammas that alters any report shows up here as a mismatch.
 The moduli that the seeded search picks for the table fields and for
 F_7^61 are pinned too, so a change to the modulus search that keeps the
@@ -17,17 +19,26 @@ from sidonspace.experiments import TABLE2_ROWS, TABLE3_ROWS, ExperimentSpec, run
 from sidonspace.field import make_field
 
 GOLDEN = [
-    ("table2", {"limit": 2}, "f7168a30ca5845d394dfadc01d3a50e54a7d823daac031c9facf39bbb4953066"),
-    ("table3", {"limit": 2}, "0d7dd6ba960d78b1deac34973f45ee3027bf87e83b237f5f2ae40787818df16b"),
-    ("prop-f26", {}, "3f207348fc8b31d309cde1914c24e3fae13a9c71cdd53478298126da37940225"),
-    ("prop-trace-9", {"limit": 1}, "c41c8513e0f41949daed9f9258c1ccf82106c35e357044b7c92c45b0651f06a8"),
-    ("sample-f2-9", {"samples": 200}, "7ea427ff2b6f86c5d5a7a62c2f853c25d1738a20fa52e5517120189bb348259f"),
-    ("brset-316", {}, "fb99aeba4e8f903d94bbbf33a5686a625aed0163befd4464ea19d5d1ed15c14e"),
+    ("table2", {"limit": 2}, "f7168a30ca5845d394dfadc01d3a50e54a7d823daac031c9facf39bbb4953066",
+     "1d293235e41bb0790051799b71d0047b26f7c2cff28cb0d942af4845307bb989"),
+    ("table3", {"limit": 2}, "0d7dd6ba960d78b1deac34973f45ee3027bf87e83b237f5f2ae40787818df16b",
+     "ed11621622e1ceab715b60fe77b9d9412360b47a7192cc11d8cd69d514c62687"),
+    ("prop-f26", {}, "3f207348fc8b31d309cde1914c24e3fae13a9c71cdd53478298126da37940225",
+     "06548cd9bed6db87a3f2873ccd4042d890251fd4281fbce0a434ace17198606e"),
+    ("prop-trace-9", {"limit": 1}, "c41c8513e0f41949daed9f9258c1ccf82106c35e357044b7c92c45b0651f06a8",
+     "b8e9cc4f7f9068f62b33686f82e7fa53beccf9d49b7ce1a784f26e800be6f590"),
+    ("sample-f2-9", {"samples": 200}, "7ea427ff2b6f86c5d5a7a62c2f853c25d1738a20fa52e5517120189bb348259f",
+     "6cc20fbc1df2c11ae234998e5da67a78b27431fdb4fc0a1ea380c84dc4a68579"),
+    ("brset-316", {}, "fb99aeba4e8f903d94bbbf33a5686a625aed0163befd4464ea19d5d1ed15c14e",
+     "d002d5f4704484774b57c6e06015031f9bb92a15b59c5b1dcd7496a1941a162f"),
     # with audits: every kneser-step and span-lower check reads the
     # stabilizer degree of a chain level
-    ("table2", {"limit": 2, "collect_audits": True}, "e3a4824866c410c0e6ef9a4a84c5828b12fd7cf72ff58d0a328e5ad81ec9ce88"),
-    ("prop-f26", {"collect_audits": True}, "a22f1fc4135eaaeb06ee8763c098618535b6d791bb966341f7b9a921a5ec409a"),
-    ("brset-316", {"collect_audits": True}, "382d55f4a62e0a75958f477d2032431389409f19bf898b933bed380164f2866a"),
+    ("table2", {"limit": 2, "collect_audits": True}, "e3a4824866c410c0e6ef9a4a84c5828b12fd7cf72ff58d0a328e5ad81ec9ce88",
+     "1d293235e41bb0790051799b71d0047b26f7c2cff28cb0d942af4845307bb989"),
+    ("prop-f26", {"collect_audits": True}, "a22f1fc4135eaaeb06ee8763c098618535b6d791bb966341f7b9a921a5ec409a",
+     "06548cd9bed6db87a3f2873ccd4042d890251fd4281fbce0a434ace17198606e"),
+    ("brset-316", {"collect_audits": True}, "382d55f4a62e0a75958f477d2032431389409f19bf898b933bed380164f2866a",
+     "d002d5f4704484774b57c6e06015031f9bb92a15b59c5b1dcd7496a1941a162f"),
 ]
 
 # (p, n) -> modulus of make_field(p, 1, n) at seed 0, little-endian digits
@@ -56,13 +67,14 @@ MODULI = {
 
 
 @pytest.mark.parametrize(
-    "name,params,digest",
+    "name,params,json_digest,csv_digest",
     GOLDEN,
-    ids=[name + ("-audits" if params.get("collect_audits") else "") for name, params, _ in GOLDEN],
+    ids=[name + ("-audits" if params.get("collect_audits") else "") for name, params, *_ in GOLDEN],
 )
-def test_report_digest(name, params, digest):
+def test_report_digest(name, params, json_digest, csv_digest):
     report = run_experiment(ExperimentSpec(name, params, seed=0))
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_digest
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_digest
 
 
 def test_subfield_enumeration_counts_in_base_p():
