@@ -80,9 +80,7 @@ def _load_subspace(path: str) -> Subspace:
     if "basis" not in d or "field" not in d or not isinstance(d["basis"], list):
         raise ValueError(f"{path}: expected a subspace file with 'field' and a 'basis' list")
     ctx = _field_from_args(d["field"])
-    # reduced as Python ints, so negative and arbitrarily large entries are read mod p
-    rows = [[c % ctx.p for c in int_list(row, f"{path}: basis row")] for row in d["basis"]]
-    return Subspace(ctx, rows)
+    return Subspace(ctx, [int_list(row, f"{path}: basis row") for row in d["basis"]])
 
 
 def _load_brset(path: str) -> BrSet:

@@ -240,34 +240,25 @@ def binomial_family(
     variant with even k its norm down to F_q must differ from 1 (the Sidon
     guarantee fails otherwise).
     """
-    if variant not in ("mid", "end"):
-        raise ValueError(f"variant must be 'mid' or 'end', got {variant!r}")
     p, a = split_prime_power(q)
     n = k * t
     ctx = make_field(p, a, n, seed=seed)
-    e2 = (2 * s) % k if variant == "mid" else (s * (k - 1)) % k
-    need_norm = variant == "end" and k % 2 == 0
+    e2 = binomial_exponent(variant, s, k)  # after make_field has refused k < 1
     if delta is None:
         rng = np.random.default_rng((p, a, n, k, seed, 0xD))
         B = ctx.subfield_fp_basis(k)
-        dl = None
         for _ in range(4096):
             v = rng.integers(0, p, B.shape[0], dtype=np.int64) @ B % p
-            if not v.any():
-                continue
-            cand = FieldElement(ctx, v)
-            if need_norm and _norm_to_base(ctx, cand, k) == ctx.one:
-                continue
-            dl = cand
-            break
-        if dl is None:
+            if admissible_deltas(ctx, v[None, :], k, variant)[0]:
+                delta_el = FieldElement(ctx, v)
+                break
+        else:
             raise NoSuchElementError("no admissible delta found")
-        delta_el = dl
     else:
         delta_el = _as_subfield_element(ctx, k, delta, "delta")
         if delta_el.is_zero():
             raise ConstructionError("delta must be nonzero")
-        if need_norm and _norm_to_base(ctx, delta_el, k) == ctx.one:
+        if not admissible_deltas(ctx, delta_el.vec[None, :], k, variant)[0]:
             raise ConstructionError(
                 "end variant with even k requires the norm of delta to differ from 1"
             )
@@ -279,11 +270,8 @@ def binomial_family(
     V = v_f_gamma(f, gamma_el)
     if V.dim != k:
         raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
-    sidon_known = (t > 2) and (
-        (variant == "mid") or (k % 2 == 1) or _norm_to_base(ctx, delta_el, k) != ctx.one
-    )
     claims = {"dim": k}
-    if sidon_known:
+    if t > 2:  # delta is admissible by now
         claims["sidon"] = {"value": True, "source": "binomial-graph"}
     return ConstructionRecord(
         name=f"binomial-{variant}",
@@ -295,10 +283,24 @@ def binomial_family(
     )
 
 
-def _norm_to_base(ctx: FieldCtx, x: FieldElement, k: int) -> FieldElement:
-    """Norm of an element of F_{q^k} down to F_q, computed within F_{q^k}."""
-    e = (ctx.q**k - 1) // (ctx.q - 1)
-    return FieldElement(ctx, ctx.pow_elem(x.vec, e))
+def binomial_exponent(variant: str, s: int, k: int) -> int:
+    """The second q-exponent of the binomial family, mod k: 2s ("mid") or s(k-1) ("end")."""
+    if variant not in ("mid", "end"):
+        raise ValueError(f"variant must be 'mid' or 'end', got {variant!r}")
+    return (2 * s if variant == "mid" else s * (k - 1)) % k
+
+
+def admissible_deltas(ctx: FieldCtx, deltas: np.ndarray, k: int, variant: str) -> np.ndarray:
+    """Mask of the rows of ``deltas`` (elements of F_{q^k}) that the binomial family admits.
+
+    delta must be nonzero, and for the end variant with even k its norm
+    down to F_q, delta^((q^k - 1)/(q - 1)), must differ from 1.
+    """
+    ok = deltas.any(axis=1)
+    if variant == "end" and k % 2 == 0:
+        norms = ctx.pow_many(deltas, (ctx.q**k - 1) // (ctx.q - 1))
+        ok &= ~(norms == ctx.one_vec).all(axis=1)
+    return ok
 
 
 def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:

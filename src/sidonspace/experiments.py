@@ -4,6 +4,10 @@ Each experiment binds a fixed parameter grid, sweeps it with seeded element
 choices, and emits one row per parameter tuple carrying expected value,
 computed value, and a verdict. Reports embed every choice (field spec,
 seeds, generators) so a rerun with the same spec is byte-identical.
+
+The graph-space sweeps define no family of their own: table2 ("mid") and
+table3 ("end") take ``binomial_family``'s exponent and delta rule, and
+prop-f26 and prop-trace-9 take f(B) from ``LinearizedPoly``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brset import extract_brset
-from .constructions import binomial_family
+from .constructions import admissible_deltas, binomial_exponent, binomial_family
 from .errors import int_scalar
 from .field import find_generator, make_field
+from .qpoly import LinearizedPoly
 from .sidon import audit_bounds, is_r_sidon, max_span_bound
 from .subspace import random_subspace, span, span_levels
 
@@ -34,14 +39,14 @@ def _json_default(o):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
-# (r, n, k) rows, q = 2, s = 1, f = x^(q^s) + delta x^(q^(2s)), all delta != 0
+# (r, n, k) rows, q = 2, s = 1, variant "mid": f = x^(q^s) + delta x^(q^(2s)), all delta != 0
 TABLE2_ROWS: tuple[tuple[int, int, int], ...] = (
     (3, 25, 5), (3, 30, 6), (3, 35, 7), (3, 40, 8),
     (4, 24, 4), (4, 35, 5), (4, 36, 6), (4, 42, 7), (4, 48, 8),
     (5, 28, 4), (5, 35, 5), (5, 42, 6), (5, 49, 7),
 )
 
-# (r, n, k) rows, q = 3, s = 1, f = x^(q^s) + delta x^(q^(s(k-1))),
+# (r, n, k) rows, q = 3, s = 1, variant "end": f = x^(q^s) + delta x^(q^(s(k-1))),
 # delta restricted to norm != 1 when k is even
 TABLE3_ROWS: tuple[tuple[int, int, int], ...] = (
     (3, 36, 4), (3, 25, 5), (3, 30, 6), (3, 35, 7), (3, 40, 8),
@@ -154,8 +159,7 @@ def _graph_table(
     *,
     q: int,
     rows_def: tuple[tuple[int, int, int], ...],
-    second_exponent,
-    norm_filter_even_k: bool,
+    variant: str,
 ) -> ExperimentReport:
     s = 1
     limit = _count_param(spec, "limit")
@@ -182,14 +186,10 @@ def _graph_table(
         ctx = make_field(q, 1, n)
         gamma = find_generator(ctx, over_m=k, seed=spec.seed)
         B = ctx.subfield_fp_basis(k)
-        e2 = second_exponent(k) % k
         R1 = ctx.mul_many(ctx.frob_q(B, s % k), gamma.vec)
-        R2 = ctx.mul_many(ctx.frob_q(B, e2), gamma.vec)
-
-        deltas = ctx.subfield_elements(k)[1:]
-        if norm_filter_even_k and k % 2 == 0:
-            norms = ctx.pow_many(deltas, (q**k - 1) // (q - 1))
-            deltas = deltas[~(norms == ctx.one_vec).all(axis=1)]
+        R2 = ctx.mul_many(ctx.frob_q(B, binomial_exponent(variant, s, k)), gamma.vec)
+        deltas = ctx.subfield_elements(k)
+        deltas = deltas[admissible_deltas(ctx, deltas, k, variant)]
 
         dims_seen: Counter[int] = Counter()
         cap_violations = 0
@@ -252,30 +252,24 @@ def _graph_table(
 
 
 def run_table2(spec: ExperimentSpec) -> ExperimentReport:
-    return _graph_table(
-        spec,
-        q=2,
-        rows_def=TABLE2_ROWS,
-        second_exponent=lambda k: 2,
-        norm_filter_even_k=False,
-    )
+    return _graph_table(spec, q=2, rows_def=TABLE2_ROWS, variant="mid")
 
 
 def run_table3(spec: ExperimentSpec) -> ExperimentReport:
-    return _graph_table(
-        spec,
-        q=3,
-        rows_def=TABLE3_ROWS,
-        second_exponent=lambda k: k - 1,
-        norm_filter_even_k=True,
-    )
+    return _graph_table(spec, q=3, rows_def=TABLE3_ROWS, variant="end")
 
 
-def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
-    """Decide the graph spaces {u + f(u) gamma}, rows B + gamma*FB, for every gamma outside F_{q^k}."""
+def _gamma_sweep(f: LinearizedPoly, family: str, collect, audits, **extra) -> dict:
+    """Report row for the graph spaces {u + f(u) gamma}, one per gamma outside F_{q^k}.
+
+    Expected: every space 2-Sidon and none 3-Sidon. ``extra`` keys go in
+    after the counts, before the first non-2-Sidon witness.
+    """
+    ctx, k = f.ctx, f.k
+    B = ctx.subfield_fp_basis(k)
+    FB = f.matrix_on_subfield()
     gammas = ctx.subfield_elements(ctx.n)
-    keep = ~np.asarray(ctx.in_subfield(gammas, k))
-    gammas = gammas[keep]
+    gammas = gammas[~np.asarray(ctx.in_subfield(gammas, k))]
     two = three = 0
     first_bad_two = None
     audit_violations = 0
@@ -289,10 +283,7 @@ def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
         two += rep2.verdict
         three += rep3.verdict
         if not rep2.verdict and first_bad_two is None:
-            first_bad_two = {
-                "gamma": [int(c) for c in gv],
-                "witness": rep2.witness,
-            }
+            first_bad_two = {"gamma": [int(c) for c in gv], "witness": rep2.witness}
         if collect:
             r_src = {}
             if rep2.verdict:
@@ -305,16 +296,28 @@ def _gamma_sweep(ctx, k, B, FB, collect, audits, scope):
             )
             audit_checks += len(audit.checks)
             audit_violations += len(audit.violations)
+    field_name = f"F_({ctx.q}^{ctx.n})"
+    count = int(gammas.shape[0])
     if collect:
         audits.append(
             {
-                "scope": scope,
-                "spaces": int(gammas.shape[0]),
+                "scope": f"{family} in {field_name}",
+                "spaces": count,
                 "checks": audit_checks,
                 "violations": audit_violations,
             }
         )
-    return int(gammas.shape[0]), two, three, first_bad_two
+    row = {
+        "field": field_name,
+        "gamma_count": count,
+        "expected": {"two_sidon": count, "three_sidon": 0},
+        "computed": {"two_sidon": two, "three_sidon": three},
+        **extra,
+    }
+    if first_bad_two is not None:
+        row["first_non_two_sidon"] = first_bad_two
+    row["verdict"] = "match" if (two, three) == (count, 0) else "mismatch"
+    return row
 
 
 def run_prop_f26(spec: ExperimentSpec) -> ExperimentReport:
@@ -327,29 +330,14 @@ def run_prop_f26(spec: ExperimentSpec) -> ExperimentReport:
     alongside as context and the mismatch is left visible.
     """
     collect = _flag_param(spec, "collect_audits")
-    rows: list[dict] = []
     audits: list[dict] = []
-    for n in (6, 9):
-        ctx = make_field(2, 1, n)
-        B = ctx.subfield_fp_basis(3)  # V_gamma = {u + u^2 gamma : u in F_8}
-        count, two, three, bad = _gamma_sweep(
-            ctx, 3, B, ctx.frob_q(B, 1), collect, audits, f"square graphs in F_(2^{n})"
+    rows = [
+        _gamma_sweep(
+            LinearizedPoly.monomial(make_field(2, 1, n), 3, 1),
+            "square graphs", collect, audits, claimed=n == 6,
         )
-        row = {
-            "field": f"F_(2^{n})",
-            "gamma_count": count,
-            "expected": {"two_sidon": count, "three_sidon": 0},
-            "computed": {"two_sidon": two, "three_sidon": three},
-            "claimed": n == 6,
-        }
-        if bad is not None:
-            row["first_non_two_sidon"] = bad
-        row["verdict"] = (
-            "match"
-            if (two, three) == (count, 0)
-            else "mismatch"
-        )
-        rows.append(row)
+        for n in (6, 9)
+    ]
     params = {"name": spec.name, "seed": spec.seed, "k": 3, "q": 2}
     return ExperimentReport(spec.name, params, rows, _overall_verdict(rows), audits)
 
@@ -362,29 +350,14 @@ def run_prop_trace_9(spec: ExperimentSpec) -> ExperimentReport:
     """
     collect = _flag_param(spec, "collect_audits")
     limit = _count_param(spec, "limit")
-    rows: list[dict] = []
     audits: list[dict] = []
     qs = (2, 3)[:limit]
-    for q in qs:
-        ctx = make_field(q, 1, 9)
-        k = 3
-        B = ctx.subfield_fp_basis(k)
-        T = np.zeros_like(B)
-        for i in range(k):
-            T = (T + ctx.frob_q(B, i)) % ctx.p
-        count, two, three, bad = _gamma_sweep(
-            ctx, k, B, T, collect, audits, f"trace graphs in F_({q}^9)"
+    rows = [
+        _gamma_sweep(
+            LinearizedPoly.trace_poly(make_field(q, 1, 9), 3), "trace graphs", collect, audits
         )
-        row = {
-            "field": f"F_({q}^9)",
-            "gamma_count": count,
-            "expected": {"two_sidon": count, "three_sidon": 0},
-            "computed": {"two_sidon": two, "three_sidon": three},
-        }
-        if bad is not None:
-            row["first_non_two_sidon"] = bad
-        row["verdict"] = "match" if (two, three) == (count, 0) else "mismatch"
-        rows.append(row)
+        for q in qs
+    ]
     params = {"name": spec.name, "seed": spec.seed, "k": 3, "qs": list(qs)}
     return ExperimentReport(spec.name, params, rows, _overall_verdict(rows), audits)
 

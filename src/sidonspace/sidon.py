@@ -155,10 +155,11 @@ def first_collision(N: int, r: int, keys) -> tuple[tuple | None, int]:
     it = itertools.combinations_with_replacement(range(N), r)
     checked = 0
     while block := list(itertools.islice(it, 8192)):
-        rows = np.asarray(keys(np.array(block, dtype=np.int64))).reshape(len(block), -1)
+        rows = np.ascontiguousarray(keys(np.array(block, dtype=np.int64))).reshape(len(block), -1)
         checked += len(block)
-        for ms, row in zip(block, rows):
-            key = row.tobytes()
+        # row.tobytes() for every row at once: one void view, one tolist()
+        row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        for ms, key in zip(block, row_bytes):
             if key in seen:
                 return (seen[key], ms), checked
             seen[key] = ms

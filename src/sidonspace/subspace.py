@@ -331,10 +331,14 @@ def intersection_dims_with_scaled(V: Subspace, alphas: np.ndarray) -> np.ndarray
     """dim_Fq(V intersect alpha*V) for a batch of scalars alpha (rows).
 
     Uses rank(V) + rank(alpha V) - rank(V + alpha V) on stacked bases,
-    vectorized over the whole batch.
+    vectorized over blocks of 4096 alphas, so memory does not grow with
+    the batch.
     """
     ctx, B = V.ctx, V.basis
-    scaled = ctx.mul_many(np.atleast_2d(alphas)[:, None], B)
-    stacked = np.concatenate([np.broadcast_to(B, scaled.shape), scaled], axis=1)
-    ranks = batch_rank(stacked, ctx.p)
+    alphas = np.atleast_2d(alphas)
+    ranks = np.empty(alphas.shape[0], dtype=np.int64)
+    for lo in range(0, alphas.shape[0], 4096):
+        scaled = ctx.mul_many(alphas[lo : lo + 4096, None], B)
+        stacked = np.concatenate([np.broadcast_to(B, scaled.shape), scaled], axis=1)
+        ranks[lo : lo + 4096] = batch_rank(stacked, ctx.p)
     return (2 * B.shape[0] - ranks) // ctx.a

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sidonspace.subspace as subspace_mod
+from sidonspace.constructions import trace_space
 from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import FieldElement, find_generator, make_field
 from sidonspace.orbit import (
@@ -166,3 +168,37 @@ def test_glk2_certificate_rejections():
         verify_glk2_certificate(f, g, gamma, delta, A, 2)  # xi inside F_8
     with pytest.raises(ConstructionError):
         verify_glk2_certificate(f, g, gamma, xi, ((ctx.one, delta), (gamma, ctx.one)), 2)
+
+
+def test_orbit_report_ranks_at_most_4096_alphas_at_a_time(monkeypatch):
+    # F_2^13 has 8,191 projective points; one stack of all of them grows with the field
+    sizes = []
+    real = subspace_mod.batch_rank
+
+    def recording(mats, p):
+        sizes.append(len(mats))
+        return real(mats, p)
+
+    monkeypatch.setattr(subspace_mod, "batch_rank", recording)
+    ctx = make_field(2, 1, 13)
+    g = find_generator(ctx)
+    V = span(ctx, [ctx.one, g, g * g])
+    assert orbit_report(V).to_dict() == {
+        "fingerprint": "45ab204d8112",
+        "dim": 3,
+        "field_of_linearity": 1,
+        "orbit_size": 8191,
+        "min_distance": 2,
+        "max_intersection_dim": 2,
+        "max_intersection_dim_nonbase": 2,
+        "sidon": False,
+    }
+    assert sum(sizes) == 8191 and max(sizes) <= 4096
+
+
+def test_trace_space_with_no_subfield_alphas_still_builds():
+    # k = 1 leaves no alpha of F_q other than 1 to measure
+    rec = trace_space(2, 1, 3)
+    assert rec.measured["subfield_intersection_dims"] == []
+    assert rec.measured["subfield_alphas"] == 0
+
