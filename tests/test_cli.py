@@ -1,10 +1,12 @@
 """CLI surface: report shapes, exit codes, file round trips."""
 
+import argparse
 import json
 
 import pytest
 
-from sidonspace.cli import main
+from sidonspace import experiments
+from sidonspace.cli import build_parser, main
 from sidonspace.field import MAX_DIM
 
 
@@ -376,6 +378,104 @@ def test_a_field_above_the_dimension_bound_is_a_usage_error(capsys, tmp_path, fi
         assert f"at most {MAX_DIM}" in err
     code, out, err = run_cli(capsys, "field", "2", str(MAX_DIM + 1))
     assert code == 64 and f"at most {MAX_DIM}" in err
+
+
+# every (command, option) pair of the parser; each option has a reader in its handler
+OPTIONS = {
+    "field": "--out --over --primitive --seed",
+    "construct monomial": "--k --out --q --r --s --seed --t",
+    "construct binomial": "--delta --k --out --q --s --seed --t --variant",
+    "construct trace": "--k --out --q --seed --t",
+    "construct maxspan-brset": "--n --out --q --r --seed --set",
+    "construct maxspan-irreducibles": "--k --out --q --r --seed",
+    "span": "--out --s-max",
+    "check": "--budget --method --out --r",
+    "orbit": "--out",
+    "equiv": "--budget --out",
+    "brset verify": "--budget --out",
+    "brset extract": "--assume-r-sidon --budget --gamma --no-translate --out --r --seed",
+    "experiment": "--budget --collect-audits --format --limit --out --param --samples --seed",
+}
+
+
+def _leaf_options(parser, command=""):
+    """{command: its sorted options} for every command without sub-commands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        opts = (o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+        return {command: " ".join(sorted(opts))}
+    table = {}
+    for name, sub in subs[0].choices.items():
+        table.update(_leaf_options(sub, f"{command} {name}".strip()))
+    return table
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    assert _leaf_options(build_parser()) == OPTIONS
+    assert sum(len(opts.split()) for opts in OPTIONS.values()) == 61
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "x.json", "--budget", "5"],
+        ["span", "x.json", "--seed", "1"],
+        ["check", "x.json", "--seed", "1"],
+        ["equiv", "x.json", "x.json", "--seed", "1"],
+        ["field", "2", "9", "--budget", "5"],
+        ["construct", "trace", "--q", "3", "--k", "3", "--t", "3", "--r", "7"],
+        ["construct", "maxspan-brset", "--q", "2", "--r", "2", "--n", "9", "--set", "0,1,3", "--k", "3"],
+        ["brset", "verify", "x.json", "--r", "2"],
+        ["brset", "verify", "x.json", "--gamma", "1,0"],
+        ["span", "x.json", "--format", "csv"],
+    ],
+    ids=["orbit-budget", "span-seed", "check-seed", "equiv-seed", "field-budget",
+         "trace-r", "maxspan-brset-k", "verify-r", "verify-gamma", "span-format"],
+)
+def test_an_option_the_command_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _no_field(*args, **kwargs):
+    raise AssertionError("a field was built")
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["prop-f26", "--limit", "1"], "limit"),
+        (["sample-f2-9", "--collect-audits"], "collect_audits"),
+        (["brset-316", "--budget", "10"], "budget"),
+        (["table2", "--samples", "3"], "samples"),
+        (["table3", "--param", "foo=1"], "foo"),
+    ],
+    ids=["prop-f26-limit", "sample-audits", "brset-316-budget", "table2-samples", "table3-foo"],
+)
+def test_experiment_refuses_a_parameter_it_does_not_read(capsys, monkeypatch, argv, key):
+    monkeypatch.setattr(experiments, "make_field", _no_field)
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 64 and out == ""
+    assert "does not read" in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--param", "budget=5", "--budget", "100000"],
+        ["table2", "--param", "limit=5", "--limit", "1"],
+        ["sample-f2-9", "--param", "samples=100", "--samples", "120"],
+        ["prop-f26", "--param", "collect_audits=true", "--collect-audits"],
+    ],
+    ids=["budget", "limit", "samples", "collect-audits"],
+)
+def test_a_parameter_given_by_flag_and_by_param_is_refused(capsys, monkeypatch, argv):
+    monkeypatch.setattr(experiments, "make_field", _no_field)
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 64 and out == ""
+    assert "given both" in err
 
 
 def test_parser_level_errors_use_64(capsys, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sidonspace import experiments
 from sidonspace.experiments import (
     EXPERIMENTS,
     SAMPLE_BANDS,
@@ -110,6 +111,20 @@ def test_table_audits_off():
 def test_collect_audits_must_be_a_json_boolean(name, value):
     with pytest.raises(ValueError, match="collect_audits must be true or false"):
         run_experiment(ExperimentSpec(name, {"collect_audits": value}))
+
+
+@pytest.mark.parametrize(
+    "name,key",
+    [("prop-f26", "limit"), ("sample-f2-9", "collect_audits"), ("brset-316", "budget"),
+     ("table2", "samples"), ("table3", "foo")],
+)
+def test_an_unread_parameter_is_refused_before_any_field_is_built(monkeypatch, name, key):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(experiments, "make_field", no_field)
+    with pytest.raises(ValueError, match=f"does not read '{key}'"):
+        run_experiment(ExperimentSpec(name, {key: 1}))
 
 
 def test_prop_f26_mismatch_is_visible():
