@@ -91,15 +91,6 @@ def is_br_set(S, r: int, modulus: int | None = None, budget: int = DEFAULT_BUDGE
     return False, {"sum": s, "multiset_a": wa, "multiset_b": wb}
 
 
-def discrete_log(x: FieldElement, gamma: FieldElement, table: DiscreteLogTable | None = None) -> int:
-    """Discrete log of x to base gamma (building a one-off table if needed)."""
-    if table is None:
-        table = DiscreteLogTable(gamma)
-    elif table.base != gamma:
-        raise ValueError("table was built for a different base")
-    return table.log(x)
-
-
 def extract_brset(
     V: Subspace,
     r: int,

@@ -1,8 +1,11 @@
 """Command-line front end emitting machine-readable reports.
 
 Subcommands: field, construct, span, check, orbit, equiv, brset,
-experiment. Every command prints one JSON (or CSV where meaningful)
-report to stdout and optionally writes it with --out.
+experiment. construct takes one kind (monomial, binomial, trace,
+maxspan-brset, maxspan-irreducibles), brset one action (verify, extract).
+Each command accepts only the options it reads. Every command prints one
+JSON report to stdout (experiment prints CSV with --format csv) and also
+writes it to --out PATH; brset extract --out keeps only the bare set.
 
 Exit codes: 0 = all checks/rows match, 1 = a claimed property or an
 expected table value failed, 2 = a resource budget cut the computation
@@ -94,6 +97,10 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _budget_kw(args) -> dict:
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 # -- subcommand handlers ---------------------------------------------------------------
 
 
@@ -116,45 +123,8 @@ def _cmd_field(args) -> int:
     return EXIT_MATCH
 
 
-_CONSTRUCT_REQUIRED = {
-    "monomial": ("k", "t", "r"),
-    "binomial": ("k", "t"),
-    "trace": ("k", "t"),
-    "maxspan-brset": ("r", "n", "set"),
-    "maxspan-irreducibles": ("k", "r"),
-}
-
-
 def _cmd_construct(args) -> int:
-    name = args.construction
-    missing = [
-        a for a in _CONSTRUCT_REQUIRED[name] if getattr(args, a.replace("-", "_")) is None
-    ]
-    if missing:
-        raise ValueError(
-            f"construction {name!r} needs --" + ", --".join(missing)
-        )
-    if name == "monomial":
-        rec = monomial(args.q, args.k, args.s, args.t, args.r, seed=args.seed)
-    elif name == "binomial":
-        rec = binomial_family(
-            args.q,
-            args.k,
-            args.s,
-            args.t,
-            args.variant,
-            delta=_ints(args.delta) if args.delta else None,
-            seed=args.seed,
-        )
-    elif name == "trace":
-        rec = trace_space(args.q, args.k, args.t, seed=args.seed)
-    elif name == "maxspan-brset":
-        rec = maxspan_from_brset(_ints(args.set), args.q, args.r, args.n, seed=args.seed)
-    elif name == "maxspan-irreducibles":
-        rec = maxspan_from_irreducibles(args.q, args.k, args.r, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
-    _emit(rec.to_dict(), args.out)
+    _emit(args.build(args).to_dict(), args.out)
     return EXIT_MATCH
 
 
@@ -177,7 +147,7 @@ def _cmd_span(args) -> int:
 def _cmd_check(args) -> int:
     V = _load_subspace(args.file)
     method = args.method
-    budget_kw = {} if args.budget is None else {"budget": args.budget}
+    budget_kw = _budget_kw(args)
     reports = {}
     if method in ("products", "both"):
         reports["products"] = is_r_sidon(V, args.r, **budget_kw).to_dict()
@@ -209,10 +179,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_equiv(args) -> int:
     U = _load_subspace(args.file1)
     V = _load_subspace(args.file2)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    hit = semilinear_equivalent(U, V, **kwargs)
+    hit = semilinear_equivalent(U, V, **_budget_kw(args))
     report = {
         "field": U.ctx.to_spec(),
         "dims": [U.dim, V.dim],
@@ -224,21 +191,21 @@ def _cmd_equiv(args) -> int:
     return EXIT_MATCH
 
 
-def _cmd_brset(args) -> int:
-    budget_kw = {} if args.budget is None else {"budget": args.budget}
-    if args.action == "verify":
-        bs = _load_brset(args.file)
-        ok, witness = is_br_set(bs.elements, bs.r, modulus=bs.modulus, **budget_kw)
-        report = {
-            "elements": list(bs.elements),
-            "modulus": bs.modulus,
-            "r": bs.r,
-            "verified": ok,
-            "witness": witness,
-        }
-        _emit(report, args.out)
-        return EXIT_MATCH if ok else EXIT_MISMATCH
-    # extract
+def _cmd_brset_verify(args) -> int:
+    bs = _load_brset(args.file)
+    ok, witness = is_br_set(bs.elements, bs.r, modulus=bs.modulus, **_budget_kw(args))
+    report = {
+        "elements": list(bs.elements),
+        "modulus": bs.modulus,
+        "r": bs.r,
+        "verified": ok,
+        "witness": witness,
+    }
+    _emit(report, args.out)
+    return EXIT_MATCH if ok else EXIT_MISMATCH
+
+
+def _cmd_brset_extract(args) -> int:
     V = _load_subspace(args.file)
     ctx = V.ctx
     if args.gamma:
@@ -251,7 +218,7 @@ def _cmd_brset(args) -> int:
         gamma,
         assume_r_sidon=args.assume_r_sidon,
         translate=not args.no_translate,
-        **budget_kw,
+        **_budget_kw(args),
     )
     report = {
         "brset": bs.to_dict(),
@@ -285,14 +252,19 @@ def _parse_params(pairs: list[str]) -> dict:
 
 def _cmd_experiment(args) -> int:
     params = _parse_params(args.param)
-    if args.budget is not None:
-        params.setdefault("budget", args.budget)
-    if args.limit is not None:
-        params["limit"] = args.limit
-    if args.samples is not None:
-        params["samples"] = args.samples
-    if args.collect_audits:
-        params["collect_audits"] = True
+    flags = {
+        "budget": args.budget,
+        "limit": args.limit,
+        "samples": args.samples,
+        "collect_audits": args.collect_audits or None,
+    }
+    for key, value in flags.items():
+        if value is None:
+            continue
+        if key in params:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{key!r} is given both by --param and by {flag}")
+        params[key] = value
     spec = ExperimentSpec(args.name, params, seed=args.seed)
     report = run_experiment(spec)
     text = report.to_csv() if args.format == "csv" else report.to_json()
@@ -309,53 +281,69 @@ def build_parser() -> _Parser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for element searches")
-    common.add_argument(
+    out = _Parser(add_help=False)
+    out.add_argument("--out", metavar="PATH", default=None, help="also write the report here")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for element searches")
+    budget = _Parser(add_help=False)
+    budget.add_argument(
         "--budget", type=int, default=None, help="work cap; exceeding it exits 2"
     )
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    common.add_argument("--out", metavar="PATH", default=None, help="also write the report here")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field", parents=[common], help="field data and a generator")
+    p = sub.add_parser("field", parents=[out, seed], help="field data and a generator")
     p.add_argument("q", type=int, help="base prime power q")
     p.add_argument("n", type=int, help="extension degree over F_q")
     p.add_argument("--over", type=int, default=1, help="generator degree constraint m")
     p.add_argument("--primitive", action="store_true", help="demand a primitive generator")
     p.set_defaults(fn=_cmd_field)
 
-    p = sub.add_parser("construct", parents=[common], help="build a named space")
-    p.add_argument(
-        "construction",
-        choices=(
-            "monomial",
-            "binomial",
-            "trace",
-            "maxspan-brset",
-            "maxspan-irreducibles",
-        ),
+    kinds = sub.add_parser("construct", help="build a named space").add_subparsers(
+        dest="construction", required=True
     )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int)
+
+    def kind(name, build, *required):
+        p = kinds.add_parser(name, parents=[out, seed])
+        for flag in required:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        p.set_defaults(fn=_cmd_construct, build=build)
+        return p
+
+    p = kind(
+        "monomial", lambda a: monomial(a.q, a.k, a.s, a.t, a.r, seed=a.seed), "q", "k", "t", "r"
+    )
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
+    p = kind(
+        "binomial",
+        lambda a: binomial_family(
+            a.q, a.k, a.s, a.t, a.variant,
+            delta=_ints(a.delta) if a.delta else None, seed=a.seed,
+        ),
+        "q", "k", "t",
+    )
+    p.add_argument("--s", type=int, default=1)
     p.add_argument("--variant", choices=("mid", "end"), default="mid")
     p.add_argument("--delta", help="coefficients c0,c1,... of delta")
-    p.add_argument("--set", help="B_r-set elements, comma separated")
-    p.set_defaults(fn=_cmd_construct)
+    kind("trace", lambda a: trace_space(a.q, a.k, a.t, seed=a.seed), "q", "k", "t")
+    p = kind(
+        "maxspan-brset",
+        lambda a: maxspan_from_brset(_ints(a.set), a.q, a.r, a.n, seed=a.seed),
+        "q", "r", "n",
+    )
+    p.add_argument("--set", required=True, help="B_r-set elements, comma separated")
+    kind(
+        "maxspan-irreducibles",
+        lambda a: maxspan_from_irreducibles(a.q, a.k, a.r, seed=a.seed),
+        "q", "k", "r",
+    )
 
-    p = sub.add_parser("span", parents=[common], help="span chain of a subspace file")
+    p = sub.add_parser("span", parents=[out], help="span chain of a subspace file")
     p.add_argument("file")
     p.add_argument("--s-max", type=int, default=None)
     p.set_defaults(fn=_cmd_span)
 
-    p = sub.add_parser("check", parents=[common], help="r-Sidon verdict for a subspace file")
+    p = sub.add_parser("check", parents=[out, budget], help="r-Sidon verdict for a subspace file")
     p.add_argument("file")
     p.add_argument("--r", type=int, default=2)
     p.add_argument(
@@ -363,26 +351,34 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("orbit", parents=[common], help="orbit code metrics of a subspace file")
+    p = sub.add_parser("orbit", parents=[out], help="orbit code metrics of a subspace file")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_orbit)
 
-    p = sub.add_parser("equiv", parents=[common], help="semilinear equivalence of two files")
+    p = sub.add_parser("equiv", parents=[out, budget], help="semilinear equivalence of two files")
     p.add_argument("file1")
     p.add_argument("file2")
     p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("brset", parents=[common], help="verify or extract B_r-sets")
-    p.add_argument("action", choices=("verify", "extract"))
-    p.add_argument("file", help="BrSet file (verify) or subspace file (extract)")
+    actions = sub.add_parser("brset", help="verify or extract B_r-sets").add_subparsers(
+        dest="action", required=True
+    )
+    p = actions.add_parser("verify", parents=[out, budget], help="check a BrSet file")
+    p.add_argument("file", help="BrSet file")
+    p.set_defaults(fn=_cmd_brset_verify)
+    p = actions.add_parser(
+        "extract", parents=[out, seed, budget], help="B_r-set of a subspace file"
+    )
+    p.add_argument("file", help="subspace file")
     p.add_argument("--r", type=int, default=3, help="order r for extraction")
     p.add_argument("--gamma", help="primitive element coefficients c0,c1,...")
     p.add_argument("--assume-r-sidon", action="store_true")
     p.add_argument("--no-translate", action="store_true")
-    p.set_defaults(fn=_cmd_brset)
+    p.set_defaults(fn=_cmd_brset_extract)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a named experiment")
+    p = sub.add_parser("experiment", parents=[out, seed, budget], help="run a named experiment")
     p.add_argument("name", help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--limit", type=int, default=None, help="only the first N rows")
     p.add_argument("--samples", type=int, default=None, help="sample count override")
@@ -397,8 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is not None and args.budget <= 0:
         parser.error("--budget must be positive")
-    if args.format == "csv" and args.command != "experiment":
-        parser.error("--format csv is only available for 'experiment'")
     try:
         return args.fn(args)
     except BudgetError as e:

@@ -70,22 +70,34 @@ class ExperimentSpec:
     seed: int = 0
 
 
-def _count_param(spec: ExperimentSpec, key: str, default: int | None = None) -> int | None:
-    """``spec.params[key]`` as an integer of at least 1, or ``default`` when absent or None."""
-    value = spec.params.get(key)
-    if value is None:
-        return default
-    if int_scalar(value, key) < 1:
-        raise ValueError(f"{key} must be at least 1, got {value}")
-    return value
+def _params(spec: ExperimentSpec, **defaults) -> tuple:
+    """The values of the parameters an experiment reads, in the order named.
 
-
-def _flag_param(spec: ExperimentSpec, key: str) -> bool:
-    """``spec.params[key]`` as a JSON boolean; False when absent."""
-    value = spec.params.get(key, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
+    A boolean default names a flag (a JSON boolean); any other default a
+    count (an integer of at least 1, the default when absent or None).
+    Every key of ``spec.params`` not named here is refused.
+    """
+    unread = [key for key in spec.params if key not in defaults]
+    if unread:
+        reads = ", ".join(map(repr, defaults))
+        raise ValueError(
+            f"experiment {spec.name!r} does not read {', '.join(map(repr, unread))}"
+            f" (it reads {reads})"
+        )
+    values = []
+    for key, default in defaults.items():
+        if isinstance(default, bool):
+            value = spec.params.get(key, default)
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be true or false, got {value!r}")
+        else:
+            value = spec.params.get(key)
+            if value is None:
+                value = default
+            elif int_scalar(value, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        values.append(value)
+    return tuple(values)
 
 
 @dataclass
@@ -162,9 +174,7 @@ def _graph_table(
     variant: str,
 ) -> ExperimentReport:
     s = 1
-    limit = _count_param(spec, "limit")
-    budget = _count_param(spec, "budget")
-    collect = _flag_param(spec, "collect_audits")
+    limit, budget, collect = _params(spec, limit=None, budget=None, collect_audits=False)
     rows: list[dict] = []
     audits: list[dict] = []
     for idx, (r, n, k) in enumerate(rows_def[:limit]):
@@ -329,7 +339,7 @@ def run_prop_f26(spec: ExperimentSpec) -> ExperimentReport:
     n = 9 the claim holds for all 504 gamma; the n = 9 row is reported
     alongside as context and the mismatch is left visible.
     """
-    collect = _flag_param(spec, "collect_audits")
+    (collect,) = _params(spec, collect_audits=False)
     audits: list[dict] = []
     rows = [
         _gamma_sweep(
@@ -348,8 +358,7 @@ def run_prop_trace_9(spec: ExperimentSpec) -> ExperimentReport:
     Exhaustive over every gamma outside F_{q^3}; expectation: always Sidon,
     never 3-Sidon.
     """
-    collect = _flag_param(spec, "collect_audits")
-    limit = _count_param(spec, "limit")
+    collect, limit = _params(spec, collect_audits=False, limit=None)
     audits: list[dict] = []
     qs = (2, 3)[:limit]
     rows = [
@@ -372,7 +381,7 @@ def run_sample_f2_9(spec: ExperimentSpec) -> ExperimentReport:
     from an unstated sample size, so a statistical band is the honest
     comparison.
     """
-    N = _count_param(spec, "samples", 2000)
+    (N,) = _params(spec, samples=2000)
     ctx = make_field(2, 1, 9)
     rng = np.random.default_rng((2, 9, 3, spec.seed))
     counts = {"two_sidon": 0, "three_sidon": 0}
@@ -421,7 +430,7 @@ def run_brset_316(spec: ExperimentSpec) -> ExperimentReport:
     and maps the 40 projective points through discrete logs to a B_3 set
     modulo (3^16 - 1)/2.
     """
-    collect = _flag_param(spec, "collect_audits")
+    (collect,) = _params(spec, collect_audits=False)
     q, k, s, t, r = 3, 4, 1, 4, 3
     ctx = make_field(q, 1, k * t, seed=spec.seed)
     gamma = find_generator(ctx, over_m=k, primitive=True, seed=spec.seed)
@@ -477,13 +486,6 @@ EXPERIMENTS = {
     "sample-f2-9": run_sample_f2_9,
     "brset-316": run_brset_316,
 }
-
-
-def register_experiment(name: str, fn) -> None:
-    """Add a custom experiment; named ones cannot be overwritten."""
-    if name in EXPERIMENTS:
-        raise ValueError(f"experiment {name!r} already registered")
-    EXPERIMENTS[name] = fn
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -352,12 +352,6 @@ class FieldCtx:
         constant x mod p), or at most ``dim`` integer coefficients, zero-padded."""
         return x if isinstance(x, FieldElement) and x.ctx == self else FieldElement(self, x)
 
-    def from_int(self, c: int) -> "FieldElement":
-        """The constant c mod p."""
-        if np.ndim(c):
-            raise ValueError("from_int takes one integer")
-        return FieldElement(self, c)
-
     def rows(self, gens) -> np.ndarray:
         """(N x dim) rows mod p of a 2-D integer array, or of FieldElements and length-dim rows."""
         if isinstance(gens, np.ndarray) and gens.ndim == 2:

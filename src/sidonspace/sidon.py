@@ -182,15 +182,6 @@ def _verify_product_collision(ctx, pts, ms_a, ms_b) -> dict:
     }
 
 
-def is_sidon(V: Subspace, method: str = "intersection", **kw) -> SidonReport:
-    """Sidon property through either route ("intersection" or "products")."""
-    if method == "intersection":
-        return is_sidon_intersection(V, **kw)
-    if method == "products":
-        return is_r_sidon(V, 2, **kw)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def max_span_bound(n: int, k: int, r: int) -> int:
     return min(n, math.comb(k + r - 1, r))
 

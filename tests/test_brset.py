@@ -2,10 +2,10 @@
 
 import pytest
 
-from sidonspace.brset import BrSet, discrete_log, extract_brset, is_br_set
+from sidonspace.brset import BrSet, extract_brset, is_br_set
 from sidonspace.constructions import trace_space
 from sidonspace.errors import BudgetError
-from sidonspace.field import DiscreteLogTable, find_generator, make_field
+from sidonspace.field import find_generator, make_field
 from sidonspace.qpoly import LinearizedPoly, v_f_gamma
 from sidonspace.subspace import Subspace, scale
 
@@ -81,18 +81,6 @@ def test_brset_round_trip_and_defaults():
     assert again == bs
     bare = BrSet.from_dict({"elements": [0, 1, 3], "r": 2})
     assert bare.modulus is None and bare.verified is False
-
-
-def test_discrete_log():
-    ctx = make_field(3, 1, 9)
-    gamma = find_generator(ctx, primitive=True)
-    x = gamma**12345
-    assert discrete_log(x, gamma) == 12345
-    table = DiscreteLogTable(gamma)
-    assert discrete_log(x, gamma, table=table) == 12345
-    other = gamma**5
-    with pytest.raises(ValueError):
-        discrete_log(x, other, table=table)  # table built for a different base
 
 
 def test_extract_from_trace_space_f3_9():

@@ -52,9 +52,10 @@ def test_construct_monomial_and_out(capsys, tmp_path):
 
 
 def test_construct_missing_required(capsys):
-    code, out, err = run_cli(capsys, "construct", "monomial", "--q", "2", "--k", "3", "--t", "3")
-    assert code == 64
-    assert "--r" in err
+    with pytest.raises(SystemExit) as ei:
+        main(["construct", "monomial", "--q", "2", "--k", "3", "--t", "3"])
+    assert ei.value.code == 64
+    assert "--r" in capsys.readouterr().err
 
 
 def test_construct_failure_is_usage_error(capsys):

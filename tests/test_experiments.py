@@ -12,7 +12,6 @@ from sidonspace.experiments import (
     TABLE3_ROWS,
     ExperimentReport,
     ExperimentSpec,
-    register_experiment,
     run_experiment,
 )
 
@@ -34,20 +33,6 @@ def test_registry_contents():
 def test_unknown_experiment():
     with pytest.raises(ValueError):
         run_experiment(ExperimentSpec("tables-turned"))
-
-
-def test_register_experiment():
-    def fake(spec):
-        return ExperimentReport(spec.name, {}, [{"verdict": "match"}], "match")
-
-    register_experiment("custom-probe", fake)
-    try:
-        with pytest.raises(ValueError):
-            register_experiment("custom-probe", fake)
-        rep = run_experiment(ExperimentSpec("custom-probe"))
-        assert rep.exit_code == 0
-    finally:
-        del EXPERIMENTS["custom-probe"]
 
 
 def test_table2_first_row():

@@ -42,13 +42,13 @@ def test_dimension_bound_is_checked_before_anything_is_built():
 
 def test_prime_field_arithmetic():
     ctx = prime_ctx(7)
-    a = ctx.from_int(3)
-    b = ctx.from_int(5)
+    a = ctx.element(3)
+    b = ctx.element(5)
     assert (a * b).coeffs == [1]
     assert (a + b).coeffs == [1]
     assert (a - b).coeffs == [5]
     assert a.inverse().coeffs == [5]
-    assert ctx.from_int(10).coeffs == [3]
+    assert ctx.element(10).coeffs == [3]
 
 
 def test_extension_field_basic_shape():
@@ -374,7 +374,7 @@ def test_subfield_embedding_of_the_prime_field():
     assert E.shape == (1, 4)
     for c in range(3):
         v = np.array([c], dtype=np.int64) @ E % 3
-        assert (v == big.from_int(c).vec).all()
+        assert (v == big.element(c).vec).all()
 
 
 def test_subfield_embedding_of_a_standalone_base_field():

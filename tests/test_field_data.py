@@ -35,7 +35,6 @@ MONO = LinearizedPoly.monomial(F, 3, 1)
 # name -> (field, call); refusals are ValueError unless listed in REFUSAL
 ENTRY_POINTS = {
     "FieldCtx.element": (F, lambda x: F.element(x).coeffs),
-    "FieldCtx.from_int": (F, lambda x: F.from_int(x).coeffs),
     "FieldElement.__init__": (F, lambda x: FieldElement(F, x).coeffs),
     "FieldElement._coerce": (F, lambda x: (F.one + x).coeffs),
     "FieldElement.__eq__": (F, lambda x: F.one == x),
@@ -67,24 +66,14 @@ REFUSAL = {"FieldElement._coerce": TypeError}
 # the argument whose result every accepted form must reproduce (default ctx.one)
 REFERENCE = {
     "FieldCtx.element": F.one_vec,
-    "FieldCtx.from_int": 1,
     "FieldElement.__init__": F.one_vec,
     "span": F.one_vec,
     "LinearizedPoly.__init__": F.one_vec,
     "Poly.from_ints": 1,
 }
-SCALAR_ONLY = {"FieldCtx.from_int"}
 
 
-@pytest.mark.parametrize(
-    "entry,form",
-    [
-        (e, f)
-        for e in ENTRY_POINTS
-        for f in FORMS
-        if not (e in SCALAR_ONLY and f in ("short list", "int64 ndarray"))
-    ],
-)
+@pytest.mark.parametrize("entry,form", [(e, f) for e in ENTRY_POINTS for f in FORMS])
 def test_field_data_enters_through_the_field(entry, form):
     ctx, call = ENTRY_POINTS[entry]
     make, accepted = FORMS[form]

@@ -292,4 +292,4 @@ def test_poly_evaluate_in_respects_coefficients():
     big = make_field(7, 1, 2)
     g = big.element([1, 1])
     p = Poly.from_ints(F7, [2, 3, 1])
-    assert p.evaluate_in(big, g) == big.from_int(2) + big.from_int(3) * g + g * g
+    assert p.evaluate_in(big, g) == big.element(2) + big.element(3) * g + g * g

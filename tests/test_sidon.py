@@ -13,7 +13,6 @@ from sidonspace.sidon import (
     audit_bounds,
     is_max_span,
     is_r_sidon,
-    is_sidon,
     is_sidon_intersection,
     max_span_bound,
     r_sidon_profile,
@@ -126,14 +125,6 @@ def test_r_below_one_rejected():
     ctx = make_field(2, 1, 6)
     with pytest.raises(ValueError):
         is_r_sidon(subfield_space(ctx, 2), 0)
-
-
-def test_is_sidon_dispatch():
-    V = graph_space_f2_9()
-    assert is_sidon(V, "intersection").method == "intersection"
-    assert is_sidon(V, "products").method == "products"
-    with pytest.raises(ValueError):
-        is_sidon(V, "guesswork")
 
 
 def test_product_budget_error_carries_required():
