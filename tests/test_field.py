@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import sympy
@@ -341,6 +344,25 @@ def test_find_generator_is_seeded_and_honors_over_m():
     assert len(minimal_polynomial(a, 3)) == 3
 
 
+# sha256 of find_generator's outputs for every over_m | n at seeds 0-2, and primitive
+# ones in F_2^12: a change to the candidate test must keep every seeded generator
+FIND_GENERATOR_PIN = "8a33c84e82eeec37c56349da5518025e161d2301a614da76d822f47f16a8693b"
+
+
+def test_find_generator_outputs_are_pinned():
+    rows = []
+    for p, a, n in [(2, 1, 12), (3, 1, 6), (2, 2, 3), (2, 1, 25), (3, 1, 36)]:
+        ctx = make_field(p, a, n)
+        for m in ctx.subfield_degrees:
+            for seed in range(3):
+                gen = find_generator(ctx, over_m=m, seed=seed)
+                rows.append([p, a, n, m, seed, False, gen.coeffs])
+    ctx = make_field(2, 1, 12)
+    for seed in range(3):
+        rows.append([2, 1, 12, 1, seed, True, find_generator(ctx, primitive=True, seed=seed).coeffs])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FIND_GENERATOR_PIN
+
+
 def test_find_generator_primitive_order():
     ctx = make_field(2, 1, 6)
     g = find_generator(ctx, primitive=True)
@@ -409,6 +431,14 @@ def test_field_spec_round_trip():
     # a different seed may pick a different modulus, hence a different context
     other = make_field(2, 1, 6, seed=5)
     assert (other == ctx) is False
+
+
+def test_field_spec_reads_the_q_form():
+    assert field_from_spec({"q": 4, "n": 3}) == field_from_spec({"p": 2, "a": 2, "n": 3})
+    assert field_from_spec({"q": 3, "n": 4, "seed": 2}) == make_field(3, 1, 4, seed=2)
+    assert field_from_spec({"q": 5}) == make_field(5)
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        field_from_spec({"q": 6, "n": 2})
 
 
 def test_element_coeff_round_trip():

@@ -386,6 +386,16 @@ def test_dict_round_trip():
         Subspace.from_dict({"field": {"p": 3, "n": 4.0}, "basis": []})
 
 
+@pytest.mark.parametrize(
+    "d",
+    [{"field": {"p": 2, "n": 3}, "basis": 5}, {"basis": [[1, 0, 0]]}, {"field": {"p": 2, "n": 3}}],
+    ids=["scalar-basis", "no-field", "no-basis"],
+)
+def test_from_dict_refuses_a_dict_that_is_not_a_subspace(d):
+    with pytest.raises(ValueError, match="'field' and a 'basis' list"):
+        Subspace.from_dict(d)
+
+
 def test_zero_and_full_edges():
     ctx = make_field(2, 1, 6)
     Z = span(ctx, [ctx.zero_vec])
