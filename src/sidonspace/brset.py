@@ -42,11 +42,14 @@ class BrSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BrSet":
+        verified = d.get("verified", False)
+        if not isinstance(verified, bool):
+            raise ValueError(f"verified must be true or false, got {verified!r}")
         return cls(
             elements=tuple(int_list(d["elements"], "B_r-set elements")),
             modulus=None if d.get("modulus") is None else int_scalar(d["modulus"], "modulus"),
             r=int_scalar(d["r"], "r"),
-            verified=bool(d.get("verified", False)),
+            verified=verified,
         )
 
 

@@ -26,9 +26,9 @@ from .constructions import (
     monomial,
     trace_space,
 )
-from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
+from .errors import BudgetError, ConstructionError, NoSuchElementError
 from .experiments import EXPERIMENTS, ExperimentSpec, _json_default, run_experiment
-from .field import field_from_spec, find_generator, make_field, split_prime_power
+from .field import find_generator, make_field, split_prime_power
 from .orbit import orbit_report, semilinear_equivalent
 from .sidon import is_r_sidon, is_sidon_intersection
 from .subspace import Subspace, span_chain, stabilizer
@@ -41,6 +41,9 @@ EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a prefix would change meaning as options come and go
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # keep exit code 2 reserved for budget skips
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -69,21 +72,11 @@ def _load_json(path: str) -> dict:
         return _json_object(json.load(fh), path)
 
 
-def _field_from_args(d: dict):
-    if "p" not in _json_object(d, "'field'"):
-        p, a = split_prime_power(int_scalar(d["q"], "q"))
-        d = {"p": p, "a": a, "n": d["n"], "modulus": d.get("modulus")}
-    return field_from_spec(d)
-
-
 def _load_subspace(path: str) -> Subspace:
     d = _load_json(path)
     if "space" in d and "basis" not in d:
         d = _json_object(d["space"], f"{path}: 'space'")
-    if "basis" not in d or "field" not in d or not isinstance(d["basis"], list):
-        raise ValueError(f"{path}: expected a subspace file with 'field' and a 'basis' list")
-    ctx = _field_from_args(d["field"])
-    return Subspace(ctx, [int_list(row, f"{path}: basis row") for row in d["basis"]])
+    return Subspace.from_dict(d)
 
 
 def _load_brset(path: str) -> BrSet:
@@ -243,6 +236,8 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param expects key=value, got {pair!r}")
         key, _, val = pair.partition("=")
+        if key in params:
+            raise ValueError(f"{key!r} is given more than once by --param")
         try:
             params[key] = json.loads(val)
         except json.JSONDecodeError:

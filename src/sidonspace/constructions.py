@@ -482,7 +482,7 @@ def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:
     if not fs:
         raise ValueError("need at least one polynomial")
     ctx = gamma.ctx
-    n_gamma = gamma.degree_over_base()
+    n_gamma = ctx.field_degree(gamma.vec)
     dmax = max(pl.degree for pl in fs)
     if dmax >= n_gamma:
         raise ValueError(

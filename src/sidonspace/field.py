@@ -215,6 +215,10 @@ class FieldCtx:
             return bool((img == U).all())
         return (img == U).all(axis=1)
 
+    def field_degree(self, U: np.ndarray) -> int:
+        """Smallest m in ``subfield_degrees`` with every row of U (or U itself) in F_{q^m}."""
+        return next(m for m in self.subfield_degrees if np.all(self.in_subfield(U, m)))
+
     def subfield_fp_basis(self, m: int) -> np.ndarray:
         """Canonical F_p-basis (a*m rows, RREF) of the subfield F_{q^m}."""
         if m not in self._subfield_basis:
@@ -469,13 +473,6 @@ class FieldElement:
         """x -> x^(q^j)."""
         return FieldElement(self.ctx, self.ctx.frob_q(self.vec, j))
 
-    def degree_over_base(self) -> int:
-        """Smallest m (dividing n) with self in F_{q^m}."""
-        for m in sorted(self.ctx.subfield_degrees):
-            if self.ctx.in_subfield(self.vec, m):
-                return m
-        raise AssertionError("element not fixed by the q^n Frobenius")
-
     def __eq__(self, other) -> bool:
         try:
             return bool((self.ctx._vec(other) == self.vec).all())
@@ -533,20 +530,23 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 def field_from_spec(spec: dict) -> FieldCtx:
-    """The field of a spec as written by :meth:`FieldCtx.to_spec`, checked entry by entry."""
+    """The field of a spec, checked entry by entry: the p-form that :meth:`FieldCtx.to_spec`
+    writes, or the q-form, which gives the prime power ``q`` in place of ``p`` and ``a``."""
     if not isinstance(spec, dict):
-        raise ValueError("a field spec must be a JSON object")
+        raise ValueError("'field' must be a JSON object")
+    if "p" in spec:
+        p, a = int_scalar(spec["p"], "p"), int_scalar(spec.get("a", 1), "a")
+    else:
+        p, a = split_prime_power(int_scalar(spec["q"], "q"))
     modulus = spec.get("modulus")
     return make_field(
-        int_scalar(spec["p"], "p"),
-        int_scalar(spec.get("a", 1), "a"),
-        int_scalar(spec.get("n", 1), "n"),
+        p, a, int_scalar(spec.get("n", 1), "n"),
         modulus=None if modulus is None else int_list(modulus, "modulus"),
         seed=int_scalar(spec.get("seed", 0), "seed"),
     )
 
 
-# -- norm / trace / minimal polynomial ------------------------------------------------
+# -- norm / minimal polynomial ------------------------------------------------------
 
 
 def norm(x: FieldElement, m: int = 1) -> FieldElement:
@@ -556,19 +556,6 @@ def norm(x: FieldElement, m: int = 1) -> FieldElement:
         raise ValueError(f"{m} does not divide n={ctx.n}")
     e = (ctx.order - 1) // (ctx.q**m - 1)
     return FieldElement(ctx, ctx.pow_elem(x.vec, e))
-
-
-def trace(x: FieldElement, m: int = 1) -> FieldElement:
-    """Relative trace from F_{q^n} down to F_{q^m}."""
-    ctx = x.ctx
-    if ctx.n % m:
-        raise ValueError(f"{m} does not divide n={ctx.n}")
-    acc = ctx.zero_vec
-    cur = x.vec
-    for _ in range(ctx.n // m):
-        acc = (acc + cur) % ctx.p
-        cur = ctx.frob_q(cur, m)
-    return FieldElement(ctx, acc)
 
 
 def minimal_polynomial(x: FieldElement, m: int = 1) -> list[FieldElement]:
@@ -605,9 +592,10 @@ def find_generator(
 ) -> FieldElement:
     """Seeded search for gamma with F_{q^over_m}(gamma) = F_{q^n}.
 
-    Candidates are uniform random vectors; the first one that lies in no
-    maximal subfield F_{q^m} with over_m | m | n (and, with ``primitive``,
-    passes :meth:`FieldCtx.is_primitive`) is returned.
+    Candidates are uniform random vectors; the first nonzero one whose
+    field degree m has lcm(over_m, m) = n, so that F_{q^over_m}(gamma) is
+    the compositum F_{q^n} (and, with ``primitive``, that passes
+    :meth:`FieldCtx.is_primitive`) is returned.
 
     Args:
         over_m: Degree over F_q of the base field of the generation request.
@@ -620,13 +608,12 @@ def find_generator(
     """
     if ctx.n % over_m:
         raise ValueError(f"over_m={over_m} does not divide n={ctx.n}")
-    proper = [ctx.n // ell for ell in factorint(ctx.n // over_m)]
     rng = np.random.default_rng((ctx.p, ctx.a, ctx.n, seed, 0x6E))
     for _ in range(1 << 16):
         v = rng.integers(0, ctx.p, ctx.dim, dtype=np.int64)
         if not v.any():
             continue
-        if any((ctx.frob_q(v, mp) == v).all() for mp in proper):
+        if math.lcm(over_m, ctx.field_degree(v)) != ctx.n:
             continue
         if primitive and not ctx.is_primitive(v):
             continue

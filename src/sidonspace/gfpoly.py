@@ -6,11 +6,12 @@ vectors). A polynomial is stored little-endian as a (ncoeff x scalar_dim)
 int64 array with no trailing zero coefficient; the zero polynomial is the
 (0 x scalar_dim) array.
 
-Only what the package needs is implemented: ring operations, division
-with remainder, and, from one F_p-matrix of multiplication by x modulo f,
-tables of powers of x modulo f and Berlekamp's irreducibility test over
-the Frobenius (q-power) matrix; then counting and seeded random search for
-monic irreducibles.
+Only what the package needs is implemented: products, division with
+remainder (kept as the reference the x-power tables are tested against),
+and, from one F_p-matrix of multiplication by x modulo f, tables of powers
+of x modulo f and Berlekamp's irreducibility test over the Frobenius
+(q-power) matrix; then counting and seeded random search for monic
+irreducibles.
 """
 
 from __future__ import annotations
@@ -32,24 +33,6 @@ def _norm(c: np.ndarray) -> np.ndarray:
 
 def pdeg(c: np.ndarray) -> int:
     return c.shape[0] - 1
-
-
-def padd(ctx, f, g):
-    lf, lg = f.shape[0], g.shape[0]
-    if lf < lg:
-        f, g = g, f
-        lf, lg = lg, lf
-    out = f.copy()
-    out[:lg] = (out[:lg] + g) % ctx.p
-    return _norm(out)
-
-
-def psub(ctx, f, g):
-    m = max(f.shape[0], g.shape[0])
-    out = np.zeros((m, ctx.dim), dtype=np.int64)
-    out[: f.shape[0]] = f
-    out[: g.shape[0]] -= g
-    return _norm(out % ctx.p)
 
 
 def pmul(ctx, f, g):
@@ -196,10 +179,6 @@ class Poly:
             raise ValueError("from_ints requires a prime scalar field")
         return cls(field, field.rows(list(ints)))
 
-    @classmethod
-    def x(cls, field) -> "Poly":
-        return cls(field, np.eye(2, field.dim, -1, dtype=np.int64))
-
     @property
     def degree(self) -> int:
         return pdeg(self.coeffs)
@@ -210,15 +189,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly(self.field, pmul(self.field, self.coeffs, other.coeffs))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return Poly(self.field, pmod(self.field, self.coeffs, other.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly(self.field, padd(self.field, self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(self.field, psub(self.field, self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoSuchElementError, int_scalar
-from .field import FieldCtx, FieldElement, field_from_spec
+from .errors import NoSuchElementError
+from .field import FieldCtx, FieldElement
 from .linalg import left_nullspace, rref
 from .sidon import first_collision
 from .subspace import Subspace, span, subfield_space
@@ -55,11 +55,6 @@ class LinearizedPoly:
     def trace_poly(cls, ctx: FieldCtx, k: int) -> "LinearizedPoly":
         """The trace of F_{q^k} over F_q as a linearized polynomial."""
         return cls.from_terms(ctx, k, {i: 1 for i in range(k)})
-
-    @property
-    def q_degree(self) -> int:
-        nz = [i for i in range(self.k) if self.coeffs[i].any()]
-        return max(nz) if nz else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -132,17 +127,6 @@ class LinearizedPoly:
         M = self.matrix_on_subfield()
         null = left_nullspace(M, self.ctx.p)
         return span(self.ctx, null @ B)
-
-    def to_dict(self) -> dict:
-        return {
-            "field": self.ctx.to_spec(),
-            "k": self.k,
-            "coeffs": [[int(c) for c in row] for row in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearizedPoly":
-        return cls(field_from_spec(d["field"]), int_scalar(d["k"], "k"), d["coeffs"])
 
 
 def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):

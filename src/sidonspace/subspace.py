@@ -91,6 +91,9 @@ class Subspace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
+        """The subspace of a dict as written by :meth:`to_dict`; see :func:`field_from_spec`."""
+        if "field" not in d or not isinstance(d.get("basis"), list):
+            raise ValueError("expected a subspace with 'field' and a 'basis' list")
         ctx = field_from_spec(d["field"])
         return cls(ctx, [int_list(row, "basis row") for row in d["basis"]])
 
@@ -189,15 +192,6 @@ def power(V: Subspace, r: int) -> Subspace:
     return span_levels(V, r)[-1]
 
 
-def generated_field_degree(V: Subspace) -> int:
-    """Degree m over F_q of the subfield generated by the elements of V.
-
-    That subfield is the smallest F_{q^m} (m | n) holding every basis row.
-    """
-    ctx = V.ctx
-    return next(m for m in ctx.subfield_degrees if ctx.in_subfield(V.basis, m).all())
-
-
 @dataclass(frozen=True)
 class SpanChain:
     """The chain V, V^2, V^3, ... up to stabilization (or a cap).
@@ -243,7 +237,7 @@ def span_chain(V: Subspace, s_max: int | None = None) -> SpanChain:
     levels = span_levels(V, cap + 1)
     stable = len(levels) <= cap  # span_levels stops short only at V^s = V^(s+1)
     levels = levels[:cap]
-    m_gen = generated_field_degree(V)
+    m_gen = V.ctx.field_degree(V.basis)
     return SpanChain(
         levels=tuple(levels),
         t=next((s for s, lv in enumerate(levels, start=1) if lv.dim == m_gen), None),

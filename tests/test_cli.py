@@ -429,9 +429,15 @@ def test_each_command_declares_only_the_options_it_reads():
         ["brset", "verify", "x.json", "--r", "2"],
         ["brset", "verify", "x.json", "--gamma", "1,0"],
         ["span", "x.json", "--format", "csv"],
+        # abbreviations are refused: a prefix would change meaning as options come and go
+        ["span", "x.json", "--s", "2"],
+        ["construct", "monomial", "--q", "2", "--k", "3", "--t", "3", "--r", "2", "--se", "1"],
+        ["experiment", "table2", "--lim", "1"],
+        ["brset", "extract", "x.json", "--no-trans"],
     ],
     ids=["orbit-budget", "span-seed", "check-seed", "equiv-seed", "field-budget",
-         "trace-r", "maxspan-brset-k", "verify-r", "verify-gamma", "span-format"],
+         "trace-r", "maxspan-brset-k", "verify-r", "verify-gamma", "span-format",
+         "abbrev-span-s", "abbrev-monomial-se", "abbrev-experiment-lim", "abbrev-extract-no-trans"],
 )
 def test_an_option_the_command_does_not_read_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as ei:
@@ -477,6 +483,23 @@ def test_a_parameter_given_by_flag_and_by_param_is_refused(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "experiment", *argv)
     assert code == 64 and out == ""
     assert "given both" in err
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["table2", "--param", "budget=5", "--param", "budget=100000000", "--limit", "1"], "budget"),
+        (["prop-f26", "--param", "collect_audits=true", "--param", "collect_audits=false"],
+         "collect_audits"),
+        (["table3", "--param", "foo=1", "--param", "foo=1"], "foo"),
+    ],
+    ids=["budget", "collect-audits", "unread-key"],
+)
+def test_a_repeated_param_key_is_refused(capsys, monkeypatch, argv, key):
+    monkeypatch.setattr(experiments, "make_field", _no_field)
+    code, out, err = run_cli(capsys, "experiment", *argv)
+    assert code == 64 and out == ""
+    assert "more than once" in err and repr(key) in err
 
 
 def test_parser_level_errors_use_64(capsys, tmp_path):
@@ -529,11 +552,14 @@ F2_3 = {"p": 2, "n": 3}
         (["brset", "verify", "FILE"], {"elements": [0, 1, 3], "r": 2, "modulus": 7.5}, "modulus must be an integer"),
         (["brset", "verify", "FILE"], [0, 1, 3], "must be a JSON object"),
         (["brset", "verify", "FILE"], {"brset": 3}, "'brset' must be a JSON object"),
+        (["brset", "verify", "FILE"], {"elements": [0, 1, 3], "r": 2, "verified": "no"},
+         "verified must be true or false"),
     ],
     ids=["dict-entry", "scalar-basis", "float-entry", "bool-entry", "float-extract",
          "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma",
          "float-n", "float-q", "float-n-of-q", "float-modulus-entry", "bool-seed", "scalar-field",
-         "scalar-file", "list-space", "float-r", "float-modulus", "list-file", "scalar-brset"],
+         "scalar-file", "list-space", "float-r", "float-modulus", "list-file", "scalar-brset",
+         "string-verified"],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content, message):
     f = tmp_path / "bad.json"

@@ -167,7 +167,7 @@ def test_sample_is_seed_deterministic():
     b = run_experiment(ExperimentSpec("sample-f2-9", {"samples": 120}))
     assert a.rows == b.rows
     c = run_experiment(ExperimentSpec("sample-f2-9", {"samples": 120}, seed=1))
-    assert [r["count"] for r in c.rows] != [r["count"] for r in a.rows] or True
+    assert [r["count"] for r in c.rows] != [r["count"] for r in a.rows]
     assert c.params["seed"] == 1
 
 

@@ -18,7 +18,6 @@ from sidonspace.field import (
     norm,
     prime_ctx,
     subfield_embedding,
-    trace,
 )
 
 
@@ -289,17 +288,6 @@ def test_norm_tower_transitivity():
         assert y * y.frobenius(1) == norm(a, 1)
 
 
-def test_trace_is_additive_and_lands_in_the_base():
-    ctx = make_field(3, 1, 4)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = ctx.random_element(rng)
-        b = ctx.random_element(rng)
-        assert trace(a + b) == trace(a) + trace(b)
-        assert bool(ctx.in_subfield(trace(a).vec, 1))
-        assert bool(ctx.in_subfield(trace(a, 2).vec, 2))
-
-
 def test_minimal_polynomial_of_a_generator():
     ctx = make_field(2, 1, 6)
     g = find_generator(ctx)
@@ -327,12 +315,13 @@ def test_minimal_polynomial_over_an_intermediate_field():
     assert acc.is_zero()
 
 
-def test_degree_over_base():
+def test_field_degree():
     ctx = make_field(2, 1, 6)
-    assert ctx.one.degree_over_base() == 1
-    sub = FieldElement(ctx, ctx.subfield_generator(3))
-    assert sub.degree_over_base() == 3
-    assert find_generator(ctx).degree_over_base() == 6
+    assert ctx.field_degree(ctx.one_vec) == 1
+    assert ctx.field_degree(ctx.subfield_generator(3)) == 3
+    assert ctx.field_degree(find_generator(ctx).vec) == 6
+    # rows from F_4 and F_8 generate their compositum F_64
+    assert ctx.field_degree(np.vstack([ctx.subfield_generator(2), ctx.subfield_generator(3)])) == 6
 
 
 def test_find_generator_is_seeded_and_honors_over_m():

@@ -15,7 +15,6 @@ from sidonspace.subspace import (
     all_projective_points,
     frob_image,
     full_space,
-    generated_field_degree,
     intersect,
     intersection_dims_with_scaled,
     orbit_size,
@@ -245,9 +244,13 @@ def test_span_chain_is_invariant_under_scaling_and_frobenius(field, k, s_max, j,
 )
 def test_span_chain_t_and_field_degree_match_their_definitions(field, k, seed):
     V = _random_nonzero_subspace(field, k, seed)
-    m = math.lcm(*(FieldElement(V.ctx, row).degree_over_base() for row in V.basis))
-    assert generated_field_degree(V) == m
+    ctx = V.ctx
+    m = math.lcm(
+        *(min(d for d in ctx.subfield_degrees if ctx.in_subfield(row, d)) for row in V.basis)
+    )
+    assert ctx.field_degree(V.basis) == m
     ch = span_chain(V)
+    assert ch.generated_field_degree == m
     target = subfield_space(V.ctx, m)
     hits = [s for s, lv in enumerate(ch.levels, start=1) if lv == target]
     assert ch.t == (hits[0] if hits else None)
@@ -317,11 +320,12 @@ def test_stabilizer_and_orbit_size():
     assert stabilizer(span(ctx, [])) == 6
 
 
-def test_generated_field_degree():
+def test_field_degree_of_a_space():
     ctx = make_field(2, 1, 6)
-    assert generated_field_degree(subfield_space(ctx, 2)) == 2
-    assert generated_field_degree(full_space(ctx)) == 6
-    assert generated_field_degree(monomial(2, 3, 1, 3, 2).space) == 9
+    assert ctx.field_degree(subfield_space(ctx, 2).basis) == 2
+    assert ctx.field_degree(full_space(ctx).basis) == 6
+    V = monomial(2, 3, 1, 3, 2).space
+    assert V.ctx.field_degree(V.basis) == 9
 
 
 def test_random_subspace_determinism_and_dim():
