@@ -7,16 +7,24 @@ were inserted. A change to the arithmetic, the row reduction or the enumeration 
 deltas and gammas that alters any report shows up here as a mismatch.
 The moduli that the seeded search picks for the table fields and for
 F_7^61 are pinned too, so a change to the modulus search that keeps the
-reports but moves a field's representation is caught as well.
+reports but moves a field's representation is caught as well. One more
+digest pins the alpha sweeps: the intersection verdict, the orbit report
+and the semilinear equivalence search on seeded spaces, and the trace
+construction, which re-measures its subfield intersections.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from sidonspace.constructions import trace_space
 from sidonspace.experiments import TABLE2_ROWS, TABLE3_ROWS, ExperimentSpec, run_experiment
 from sidonspace.field import make_field
+from sidonspace.orbit import orbit_report, semilinear_equivalent
+from sidonspace.sidon import is_sidon_intersection
+from sidonspace.subspace import frob_image, random_subspace, scale
 
 GOLDEN = [
     ("table2", {"limit": 2}, "f7168a30ca5845d394dfadc01d3a50e54a7d823daac031c9facf39bbb4953066",
@@ -97,3 +105,43 @@ def test_moduli_cover_every_table_field():
 def test_modulus_of_the_seeded_search(p, n):
     modulus = make_field(p, 1, n).modulus
     assert "".join(str(int(c)) for c in modulus) == MODULI[(p, n)]
+
+
+def _sweep_records() -> list[dict]:
+    records = []
+    for p, a, n in [(2, 1, 6), (2, 1, 9), (3, 1, 5), (2, 2, 3), (2, 2, 5)]:
+        ctx = make_field(p, a, n)
+        for k in range(2, min(4, n) + 1):
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                V = random_subspace(ctx, k, rng)
+                alpha = ctx.random_element(rng)
+                while alpha.is_zero():
+                    alpha = ctx.random_element(rng)
+                beta, j = semilinear_equivalent(V, frob_image(scale(V, alpha), seed + 1, p_power=True))
+                records.append({
+                    "field": [p, a, n], "k": k, "seed": seed,
+                    "intersection": is_sidon_intersection(V).to_dict(),
+                    "orbit": orbit_report(V).to_dict(),
+                    "equiv": [beta.coeffs, j],
+                })
+    # F_2^13 has 8,191 points: the Sidon space is swept in two blocks, the other stops in the first
+    ctx = make_field(2, 1, 13)
+    for k in (3, 5):
+        V = random_subspace(ctx, k, np.random.default_rng(0))
+        records.append({"field": [2, 1, 13], "k": k, "intersection": is_sidon_intersection(V).to_dict()})
+    rec = trace_space(2, 4, 2)
+    records.append({
+        "trace": rec.to_dict(),
+        "intersection": is_sidon_intersection(rec.space).to_dict(),
+        "orbit": orbit_report(rec.space).to_dict(),
+    })
+    return records
+
+
+def test_alpha_sweep_digest():
+    records = _sweep_records()
+    verdicts = [r["intersection"]["verdict"] for r in records]
+    assert 0 < sum(verdicts) < len(verdicts)  # Sidon and non-Sidon spaces both appear
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "dd1a48cacdbe8156ea14ba56e0291209adb72ceaea7d7e69b030e1fa83629d06"
