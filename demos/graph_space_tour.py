@@ -36,8 +36,7 @@ def main() -> None:
     chain = span_chain(V)
     print(f"span chain dims: {list(chain.dims)}  (t = {chain.t}, t_bar = {chain.t_bar})")
 
-    audit = audit_bounds(V, sidon=True, sidon_source="measured:products",
-                         r_sidon={2: "measured:products"})
+    audit = audit_bounds(V, r_sidon={2: "measured:products"})
     print(f"bound audit: {len(audit.checks)} checks, ok = {audit.ok}")
 
     orb = orbit_report(V)

@@ -36,6 +36,7 @@ from .qpoly import LinearizedPoly, is_scattered, v_f_gamma
 from .subspace import (
     Subspace,
     intersection_dims_with_scaled,
+    off_base_field,
     power,
     scale,
     span,
@@ -321,8 +322,7 @@ def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:
     if V.dim != k:
         raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
     sub_pts = subfield_space(ctx, k).projective_points()
-    one = ctx.proj_canon(ctx.one_vec[None, :])[0]
-    sub_pts = sub_pts[~(sub_pts == one).all(axis=1)]
+    sub_pts = sub_pts[off_base_field(ctx, sub_pts)]
     inter_dims = intersection_dims_with_scaled(V, sub_pts)
     if k >= 2 and not (inter_dims == k - 2).all():
         raise ConstructionError(

@@ -24,7 +24,7 @@ import numpy as np
 from .brset import extract_brset
 from .constructions import admissible_deltas, binomial_exponent, binomial_family
 from .errors import int_scalar
-from .field import find_generator, make_field
+from .field import DiscreteLogTable, find_generator, make_field
 from .qpoly import LinearizedPoly
 from .sidon import audit_bounds, is_r_sidon, max_span_bound
 from .subspace import random_subspace, span, span_levels
@@ -295,15 +295,8 @@ def _gamma_sweep(f: LinearizedPoly, family: str, collect, audits, **extra) -> di
         if not rep2.verdict and first_bad_two is None:
             first_bad_two = {"gamma": [int(c) for c in gv], "witness": rep2.witness}
         if collect:
-            r_src = {}
-            if rep2.verdict:
-                r_src[2] = "measured:products"
-            if rep3.verdict:
-                r_src[3] = "measured:products"
-            audit = audit_bounds(
-                V, sidon=bool(rep2.verdict), sidon_source="measured:products",
-                r_sidon=r_src,
-            )
+            vouched = {r: "measured:products" for r, rep in ((2, rep2), (3, rep3)) if rep.verdict}
+            audit = audit_bounds(V, r_sidon=vouched)
             audit_checks += len(audit.checks)
             audit_violations += len(audit.violations)
     field_name = f"F_({ctx.q}^{ctx.n})"
@@ -439,9 +432,6 @@ def run_brset_316(spec: ExperimentSpec) -> ExperimentReport:
     bs = extract_brset(V, r, gamma, verify=True)
     modulus = (ctx.order - 1) // (ctx.q - 1)
     n_sums = math.comb(bs.size + r - 1, r)
-    m = math.isqrt(ctx.order - 1)
-    if m * m < ctx.order - 1:
-        m += 1
     expected = {"size": 40, "modulus": 21523360, "sums": 11480, "verified": True}
     computed = {
         "size": bs.size,
@@ -462,17 +452,12 @@ def run_brset_316(spec: ExperimentSpec) -> ExperimentReport:
         "computed": computed,
         "elements": list(bs.elements),
         "group_order": modulus,
-        "bsgs_table_entries": m,
+        "bsgs_table_entries": DiscreteLogTable.steps(ctx.order - 1),
         "verdict": "match" if computed == expected else "mismatch",
     }
     audits = []
     if collect:
-        audit = audit_bounds(
-            V,
-            sidon=True,
-            sidon_source="measured:products",
-            r_sidon={2: "measured:products", 3: "measured:products"},
-        )
+        audit = audit_bounds(V, r_sidon={2: "measured:products", 3: "measured:products"})
         audits.append({"scope": "extraction space", "audit": audit.to_dict()})
     params = {"name": spec.name, "seed": spec.seed}
     return ExperimentReport(spec.name, params, [row], _overall_verdict([row]), audits)

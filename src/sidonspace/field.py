@@ -531,13 +531,23 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 def field_from_spec(spec: dict) -> FieldCtx:
     """The field of a spec, checked entry by entry: the p-form that :meth:`FieldCtx.to_spec`
-    writes, or the q-form, which gives the prime power ``q`` in place of ``p`` and ``a``."""
+    writes, or the q-form, which gives the prime power ``q`` in place of ``p`` and ``a``.
+    Any other key is refused, so a misspelt or contradicting entry is never dropped."""
     if not isinstance(spec, dict):
         raise ValueError("'field' must be a JSON object")
     if "p" in spec:
         p, a = int_scalar(spec["p"], "p"), int_scalar(spec.get("a", 1), "a")
-    else:
+        known = ("p", "a", "n", "modulus", "seed")
+    elif "q" in spec:
         p, a = split_prime_power(int_scalar(spec["q"], "q"))
+        known = ("q", "n", "modulus", "seed")
+    else:
+        raise ValueError("field spec needs 'p' (with optional 'a') or the prime power 'q'")
+    unknown = sorted(str(key) for key in spec if key not in known)
+    if unknown:
+        raise ValueError(
+            f"field spec takes only {', '.join(known)}; unknown keys: {', '.join(unknown)}"
+        )
     modulus = spec.get("modulus")
     return make_field(
         p, a, int_scalar(spec.get("n", 1), "n"),
@@ -722,19 +732,21 @@ def subfield_embedding(small: FieldCtx, big: FieldCtx) -> np.ndarray:
 class DiscreteLogTable:
     """Baby-step/giant-step table for logs to a fixed base.
 
-    Holds ceil(sqrt(q^n - 1)) baby steps; each query then needs at most
+    Holds :meth:`steps` (q^n - 1) baby steps; each query then needs at most
     that many giant steps.
     """
+
+    @staticmethod
+    def steps(group_order: int) -> int:
+        """ceil(sqrt(group_order)), the table size for a group of that order."""
+        return math.isqrt(group_order - 1) + 1
 
     def __init__(self, base: FieldElement):
         self.ctx = base.ctx
         self.base = base
         N = self.ctx.order - 1
         self.group_order = N
-        m = math.isqrt(N)
-        if m * m < N:
-            m += 1
-        self.m = m
+        self.m = m = self.steps(N)
         self.baby: dict[bytes, int] = {}
         cur = self.ctx.one_vec
         for j in range(m):

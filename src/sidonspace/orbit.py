@@ -24,6 +24,7 @@ from .subspace import (
     frob_image,
     intersect,
     intersection_dims_with_scaled,
+    off_base_field,
     scale,
     stabilizer,
 )
@@ -78,7 +79,6 @@ def orbit_report(V: Subspace) -> OrbitReport:
     if k == 0:
         raise ValueError("orbit of the zero space is not meaningful")
     pts = all_projective_points(ctx)
-    one = ctx.proj_canon(ctx.one_vec[None, :])[0]
     dims = intersection_dims_with_scaled(V, pts)
 
     full = dims == k
@@ -94,7 +94,7 @@ def orbit_report(V: Subspace) -> OrbitReport:
     if orbit_size != (ctx.order - 1) // (ctx.q**h - 1):
         raise AssertionError("orbit size disagrees with the stabilizer subfield")
 
-    nonbase = ~(pts == one).all(axis=1)
+    nonbase = off_base_field(ctx, pts)
     max_nonbase = int(dims[nonbase].max()) if nonbase.any() else 0
     moving = ~full
     if moving.any():
@@ -141,13 +141,13 @@ def semilinear_equivalent(
     if U.dim == 0:
         return (ctx.one, 0)
     n_aut = ctx.a * ctx.n
-    pts = all_projective_points(ctx)
-    work = n_aut * pts.shape[0]
+    work = n_aut * ((ctx.order - 1) // (ctx.q - 1))
     if work > budget:
         raise BudgetError(
             f"equivalence sweep needs {work} candidate pairs (budget {budget})",
             required=work,
         )
+    pts = all_projective_points(ctx, budget=budget)
     r = U.basis.shape[0]
     for j in range(n_aut):
         W = frob_image(V, j, p_power=True)

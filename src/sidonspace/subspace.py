@@ -321,6 +321,12 @@ def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray
     return full_space(ctx).projective_points()
 
 
+def off_base_field(ctx: FieldCtx, pts: np.ndarray) -> np.ndarray:
+    """Mask of the canonical projective points ``pts`` other than the point of F_q (alpha = 1)."""
+    one = ctx.proj_canon(ctx.one_vec[None, :])[0]
+    return ~(pts == one).all(axis=1)
+
+
 def intersection_dims_with_scaled(V: Subspace, alphas: np.ndarray) -> np.ndarray:
     """dim_Fq(V intersect alpha*V) for a batch of scalars alpha (rows).
 

@@ -348,12 +348,7 @@ def test_criterion_11_bound_audits(
     (main, k2), _ = monomial_grid
     for rec in main + k2:
         claim = rec.claims["r_sidon"]
-        audit = audit_bounds(
-            rec.space,
-            sidon=True,
-            sidon_source=rec.claims["sidon"]["source"],
-            r_sidon={claim["order"]: claim["source"]},
-        )
+        audit = audit_bounds(rec.space, r_sidon={claim["order"]: claim["source"]})
         assert audit.ok, audit.violations
         audited += 1
     for rec in trace_grid[0]:
@@ -361,9 +356,7 @@ def test_criterion_11_bound_audits(
         assert audit.ok, audit.violations
         audited += 1
     for rec in (brset_maxspan[0], irreducibles_maxspan[0]):
-        audit = audit_bounds(
-            rec.space, sidon=True, sidon_source="max-span", r_sidon={3: "max-span"}
-        )
+        audit = audit_bounds(rec.space, r_sidon={3: "max-span"})
         assert audit.ok, audit.violations
         audited += 1
     total_checks = c2 + c3 + sum(c for c, _ in sweep_totals.values())

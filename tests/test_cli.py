@@ -446,6 +446,23 @@ def test_an_option_the_command_does_not_read_is_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (["experiment", "table2", "--lim", "1"], "usage: sidonspace experiment "),
+        (["construct", "trace", "--q", "2", "--k", "3", "--t", "3", "--r", "7"],
+         "usage: sidonspace construct trace "),
+        (["brset", "extract", "x.json", "--no-trans"], "usage: sidonspace brset extract "),
+    ],
+    ids=["experiment", "construct-trace", "brset-extract"],
+)
+def test_an_unrecognized_option_shows_the_usage_of_its_command(capsys, argv, usage):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 64
+    assert capsys.readouterr().err.startswith(usage)
+
+
 def _no_field(*args, **kwargs):
     raise AssertionError("a field was built")
 
@@ -554,12 +571,19 @@ F2_3 = {"p": 2, "n": 3}
         (["brset", "verify", "FILE"], {"brset": 3}, "'brset' must be a JSON object"),
         (["brset", "verify", "FILE"], {"elements": [0, 1, 3], "r": 2, "verified": "no"},
          "verified must be true or false"),
+        (["span", "FILE"], {"field": {"p": 2, "q": 9, "n": 3}, "basis": [[1, 0, 0]]}, "unknown keys: q"),
+        (["check", "FILE"], {"field": {"q": 4, "a": 3, "n": 3}, "basis": [[1, 0, 0, 0, 0, 0]]},
+         "unknown keys: a"),
+        (["orbit", "FILE"], {"field": {"p": 2, "n": 3, "degree": 5}, "basis": [[1, 0, 0]]},
+         "unknown keys: degree"),
+        (["span", "FILE"], {"field": {"n": 3}, "basis": [[1, 0, 0]]}, "needs 'p'"),
     ],
     ids=["dict-entry", "scalar-basis", "float-entry", "bool-entry", "float-extract",
          "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma",
          "float-n", "float-q", "float-n-of-q", "float-modulus-entry", "bool-seed", "scalar-field",
          "scalar-file", "list-space", "float-r", "float-modulus", "list-file", "scalar-brset",
-         "string-verified"],
+         "string-verified", "field-p-and-q", "field-q-and-a", "field-unknown-key",
+         "field-neither-p-nor-q"],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content, message):
     f = tmp_path / "bad.json"

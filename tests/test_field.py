@@ -376,6 +376,11 @@ def test_discrete_log_large_field():
     table = DiscreteLogTable(g)
     assert table.log(g ** 123456) == 123456
     assert table.log(ctx.one) == 0
+    assert table.m == 6561  # 6561^2 = 3^16 = group order + 1
+
+
+def test_discrete_log_steps_is_the_ceiling_of_the_square_root():
+    assert [DiscreteLogTable.steps(N) for N in (1, 2, 4, 5, 9, 10, 511)] == [1, 2, 2, 3, 3, 4, 23]
 
 
 def test_subfield_embedding_of_the_prime_field():
@@ -428,6 +433,21 @@ def test_field_spec_reads_the_q_form():
     assert field_from_spec({"q": 5}) == make_field(5)
     with pytest.raises(ValueError, match="q must be a prime power"):
         field_from_spec({"q": 6, "n": 2})
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"p": 2, "q": 9, "n": 3}, "unknown keys: q"),
+        ({"q": 4, "a": 3, "n": 3}, "unknown keys: a"),
+        ({"p": 2, "n": 3, "degree": 5}, "unknown keys: degree"),
+        ({"n": 3}, "needs 'p'"),
+    ],
+    ids=["p-and-q", "q-and-a", "unknown-key", "neither-p-nor-q"],
+)
+def test_field_spec_refuses_keys_outside_its_form(spec, message):
+    with pytest.raises(ValueError, match=message):
+        field_from_spec(spec)
 
 
 def test_element_coeff_round_trip():

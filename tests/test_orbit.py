@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sidonspace.orbit as orbit_mod
 import sidonspace.subspace as subspace_mod
 from sidonspace.constructions import trace_space
 from sidonspace.errors import BudgetError, ConstructionError
@@ -123,6 +124,26 @@ def test_semilinear_budget():
     with pytest.raises(BudgetError) as ei:
         semilinear_equivalent(V, V, budget=100)
     assert ei.value.required == 9 * 511
+
+
+def test_semilinear_budget_is_checked_before_any_point_is_built(monkeypatch):
+    monkeypatch.setattr(orbit_mod, "all_projective_points", _no_points)
+    ctx, gamma, f, V = graph_setup()
+    with pytest.raises(BudgetError):
+        semilinear_equivalent(V, V, budget=100)
+
+
+def test_semilinear_budget_counts_points_beyond_the_enumeration_cap():
+    # F_2^23 has more projective points than all_projective_points' default cap of 2^22
+    ctx = make_field(2, 1, 23)
+    V = span(ctx, [ctx.one])
+    with pytest.raises(BudgetError) as ei:
+        semilinear_equivalent(V, V, budget=1000)
+    assert ei.value.required == 23 * (2**23 - 1)
+
+
+def _no_points(*args, **kwargs):
+    raise AssertionError("projective points were built")
 
 
 def cert_setup():

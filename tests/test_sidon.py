@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sidonspace.constructions import monomial
 from sidonspace.errors import BudgetError
 from sidonspace.field import FieldElement, find_generator, make_field
 from sidonspace.qpoly import LinearizedPoly, v_f_gamma
@@ -164,7 +165,7 @@ def test_is_max_span_on_graph():
 
 def test_audit_monomial_graph_is_clean():
     V = graph_space_f2_9()
-    audit = audit_bounds(V, sidon=True, sidon_source="products", r_sidon={2: "products"})
+    audit = audit_bounds(V, r_sidon={2: "products"})
     assert audit.ok
     assert audit.violations == ()
     assert audit.dims == (3, 6, 8, 9)
@@ -181,8 +182,8 @@ def test_audit_is_scale_invariant():
     V = graph_space_f2_9()
     al = find_generator(V.ctx)
     W = scale(V, al)
-    a = audit_bounds(V, sidon=True, sidon_source="products")
-    b = audit_bounds(W, sidon=True, sidon_source="products")
+    a = audit_bounds(V, r_sidon={2: "products"})
+    b = audit_bounds(W, r_sidon={2: "products"})
     assert a.dims == b.dims
     assert a.t == b.t and a.t_bar == b.t_bar
     assert a.stabilizer_degrees == b.stabilizer_degrees
@@ -196,6 +197,22 @@ def test_audit_subfield_without_hypotheses():
     assert audit.t == 1
     # no sidon vouching, so only the unconditional checks appear
     assert all(c.hypothesis == "none" for c in audit.checks)
+
+
+def test_audit_reads_the_sidon_hypothesis_from_r_sidon():
+    V = monomial(2, 3, 1, 4, 3).space  # vouched 3-Sidon by its construction
+
+    def tags(audit):
+        return {(c.name, c.hypothesis) for c in audit.checks}
+
+    vouched = tags(audit_bounds(V, r_sidon={3: "s"}))
+    assert {("span-lower", "sidon:s"), ("k-bound", "sidon:s"), ("dim-cap", "r-sidon:s")} <= vouched
+    assert {h for _, h in tags(audit_bounds(V))} == {"none"}
+    # r-Sidon is closed downward: the Sidon checks carry the source of the smallest order
+    both = tags(audit_bounds(V, r_sidon={3: "b", 2: "a"}))
+    assert {h for name, h in both if name == "span-lower"} == {"sidon:a"}
+    # order 1 vouches for nothing beyond its dimension cap
+    assert {h for _, h in tags(audit_bounds(V, r_sidon={1: "x"}))} == {"none", "r-sidon:x"}
 
 
 def test_audit_zero_space_rejected():
