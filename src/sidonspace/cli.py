@@ -148,12 +148,12 @@ def _cmd_check(args) -> int:
     V = _load_subspace(args.file)
     method = args.method
     budget_kw = _budget_kw(args)
+    if method in ("intersection", "both") and args.r != 2:
+        raise ValueError("the intersection route only decides r = 2")
     reports = {}
     if method in ("products", "both"):
         reports["products"] = is_r_sidon(V, args.r, **budget_kw).to_dict()
     if method in ("intersection", "both"):
-        if args.r != 2:
-            raise ValueError("the intersection route only decides r = 2")
         reports["intersection"] = is_sidon_intersection(V, **budget_kw).to_dict()
     verdicts = {rep["verdict"] for rep in reports.values()}
     if len(verdicts) != 1:

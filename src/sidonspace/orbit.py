@@ -20,11 +20,11 @@ from .qpoly import LinearizedPoly, v_f_gamma
 from .sidon import is_r_sidon
 from .subspace import (
     Subspace,
-    all_projective_points,
     frob_image,
     intersect,
-    intersection_dims_with_scaled,
-    off_base_field,
+    pair_intersection_dims,
+    point_positions,
+    quotient_pairs,
     scale,
     stabilizer,
 )
@@ -66,26 +66,35 @@ class OrbitReport:
 
 
 def orbit_report(V: Subspace) -> OrbitReport:
-    """Full projective sweep of alpha -> dim(V intersect alpha V).
+    """Metrics of alpha -> dim(V intersect alpha V) over every alpha.
+
+    Only the alpha = v/u over ordered pairs of points u, v of V can meet V
+    (see :func:`quotient_pairs`); every other alpha has V intersect
+    alpha V = 0. A stabilizing alpha permutes the points of V, so it is
+    v/u for exactly N pairs, and the count of stabilizing classes is the
+    number of pairs of full dimension (with the N pairs u = v) over N
+    (Bachoc, Serra, Zemor 2017; Roth, Raviv, Tamo 2018).
 
     Computes the orbit size (validated against the stabilizer subfield),
     the minimum distance of the orbit code (2k - 2 max over alpha V != V),
     and the worst intersection over alpha outside F_q, whose being <= 1 is
     the Sidon criterion; the verdict is cross-checked against the
-    product-collision route.
+    product-collision route. Fields with more than 2^22 projective points
+    raise BudgetError.
     """
     ctx = V.ctx
     k = V.dim
     if k == 0:
         raise ValueError("orbit of the zero space is not meaningful")
-    pts = all_projective_points(ctx)
-    dims = intersection_dims_with_scaled(V, pts)
+    rows, pairs, per_alpha = quotient_pairs(V)
+    dims = pair_intersection_dims(V, rows, pairs)
 
     full = dims == k
-    stab_classes = int(full.sum())
-    npts = pts.shape[0]
-    if npts % stab_classes:
+    stab_pairs = int(full.sum()) + per_alpha  # alpha = 1 takes per_alpha unlisted pairs
+    npts = (ctx.order - 1) // (ctx.q - 1)
+    if stab_pairs % per_alpha or npts % (stab_pairs // per_alpha):
         raise AssertionError("stabilizer class count does not divide the point count")
+    stab_classes = stab_pairs // per_alpha
     orbit_size = npts // stab_classes
 
     h = stabilizer(V)
@@ -94,11 +103,10 @@ def orbit_report(V: Subspace) -> OrbitReport:
     if orbit_size != (ctx.order - 1) // (ctx.q**h - 1):
         raise AssertionError("orbit size disagrees with the stabilizer subfield")
 
-    nonbase = off_base_field(ctx, pts)
-    max_nonbase = int(dims[nonbase].max()) if nonbase.any() else 0
-    moving = ~full
-    if moving.any():
-        max_moving = int(dims[moving].max())
+    # an alpha outside the pairs adds a 0, which no maximum over dims >= 0 needs
+    max_nonbase = int(dims.max(initial=0))
+    if stab_classes < npts:
+        max_moving = int(dims[~full].max(initial=0))
         min_distance = 2 * k - 2 * max_moving
     else:
         max_moving = None
@@ -127,11 +135,15 @@ def semilinear_equivalent(
 ) -> tuple[FieldElement, int] | None:
     """Search (alpha, sigma) with U = alpha * V^sigma, exhaustively.
 
-    sigma ranges over all a*n powers of the p-Frobenius, alpha over the
-    projective points, in that nesting order; the first hit is returned
-    as (alpha, sigma_exponent) and re-verified before returning. None
-    means definitively inequivalent. Work above the budget raises
-    BudgetError before any sweep starts.
+    sigma ranges over all a*n powers of the p-Frobenius. alpha W = U for
+    W = V^sigma puts alpha * w0 in U for the first basis row w0 of W, so
+    the only candidates are alpha = u / w0 over the projective points u of
+    U. The hit returned is the one with the smallest sigma, then the
+    smallest position in :func:`all_projective_points` order, as
+    (alpha, sigma_exponent), re-verified before returning. None means
+    definitively inequivalent. The budget bounds a*n times the number of
+    projective points of the field; above it BudgetError is raised before
+    any point is built.
     """
     ctx = U.ctx
     if V.ctx != ctx:
@@ -147,23 +159,21 @@ def semilinear_equivalent(
             f"equivalence sweep needs {work} candidate pairs (budget {budget})",
             required=work,
         )
-    pts = all_projective_points(ctx, budget=budget)
-    r = U.basis.shape[0]
+    pts = U.projective_points()
+    chunk = max(1, 4096 // U.basis.shape[0])  # alpha * basis-row products per block
     for j in range(n_aut):
         W = frob_image(V, j, p_power=True)
-        B = W.basis
-        # alpha * basis-row products for a chunk of candidate alphas
-        chunk = max(1, 4096 // max(r, 1))
-        for lo in range(0, pts.shape[0], chunk):
-            al = pts[lo : lo + chunk]
-            hits = ~U.reduce_rows(ctx.mul_many(al[:, None], B)).any(axis=(1, 2))
-            if hits.any():
-                idx = int(np.flatnonzero(hits)[0])
-                alpha = FieldElement(ctx, al[idx])
-                cand = scale(W, alpha)
-                if cand != U:
-                    raise AssertionError("equivalence candidate failed re-verification")
-                return (alpha, j)
+        cands = ctx.proj_canon(ctx.mul_many(pts, ctx.inv(W.basis[0])))
+        hits = np.concatenate([
+            ~U.reduce_rows(ctx.mul_many(cands[lo : lo + chunk, None], W.basis)).any(axis=(1, 2))
+            for lo in range(0, cands.shape[0], chunk)
+        ])
+        if hits.any():
+            cands = cands[hits]
+            alpha = FieldElement(ctx, cands[np.argmin(point_positions(ctx, cands))])
+            if scale(W, alpha) != U:
+                raise AssertionError("equivalence candidate failed re-verification")
+            return (alpha, j)
     return None
 
 

@@ -2,8 +2,9 @@
 
 Two independent verdict routes are kept deliberately separate:
 
-* the intersection route sweeps scalars alpha and checks
-  dim(V intersect alpha V) <= 1 outside the base field;
+* the intersection route checks dim(V intersect alpha V) <= 1 for alpha
+  outside the base field, ranking only the alpha = v/u over pairs of
+  points u, v of V;
 * the product route enumerates multisets of projective points of V and
   checks that their r-fold products land on pairwise distinct projective
   points.
@@ -30,11 +31,13 @@ from .errors import BudgetError
 from .field import FieldElement
 from .subspace import (
     Subspace,
-    all_projective_points,
+    base_point,
     intersect,
-    intersection_dims_with_scaled,
-    off_base_field,
+    pair_intersection_dims,
+    point_positions,
     power,
+    projective_point_count,
+    quotient_pairs,
     scale,
     span_chain,
     stabilizer,
@@ -66,32 +69,40 @@ class SidonReport:
 
 
 def is_sidon_intersection(V: Subspace, *, budget: int = 1 << 22) -> SidonReport:
-    """Sidon check by scalar sweep: dim(V ∩ alpha V) <= 1 off the base field.
+    """Sidon check: dim(V ∩ alpha V) <= 1 for every alpha off the base field.
 
-    Scaling alpha by base-field units does not change alpha V, so only one
-    representative per projective point is tested. A witness records the
-    offending alpha and a basis of the too-large intersection.
+    V ∩ alpha V != 0 only for alpha = v/u with u, v points of V, and then
+    dim(V ∩ alpha V) = dim(uV ∩ vV) because multiplying by u is an
+    F_q-linear bijection (Bachoc, Serra, Zemor 2017; Roth, Raviv, Tamo
+    2018). So only the N(N-1) ordered pairs of distinct points of V are
+    ranked, or the pairs (1, alpha) when those are fewer (see
+    :func:`quotient_pairs`). The report reads as a sweep over the projective
+    points alpha != 1 in :func:`all_projective_points` order, 4096 at a
+    time: a witness records the first offending alpha and a basis of the
+    too-large intersection, and ``alphas_checked`` counts through its block.
     """
     ctx = V.ctx
-    pts = all_projective_points(ctx, budget=budget)
-    pts = pts[off_base_field(ctx, pts)]
-    checked, witness = 0, None
-    chunk = 4096  # a False verdict counts alphas_checked through its batch
-    for lo in range(0, pts.shape[0], chunk):
-        batch = pts[lo : lo + chunk]
-        dims = intersection_dims_with_scaled(V, batch)
-        checked += batch.shape[0]
-        bad = np.nonzero(dims >= 2)[0]
-        if bad.size:
-            al = FieldElement(ctx, batch[bad[0]])
-            inter = intersect(V, scale(V, al))
-            assert inter.dim >= 2
-            witness = {
-                "alpha": al.coeffs,
-                "intersection_dim": inter.dim,
-                "intersection_basis": [[int(c) for c in row] for row in inter.basis],
-            }
-            break
+    rows, pairs, _ = quotient_pairs(V, budget=budget)
+    total = projective_point_count(ctx, budget) - 1
+    bad = pairs[pair_intersection_dims(V, rows, pairs) >= 2]
+    checked, witness = total, None
+    if bad.size:
+        inv = {i: ctx.inv(rows[i]) for i in set(bad[:, 0].tolist())}
+        u_inv = np.array([inv[i] for i in bad[:, 0].tolist()])
+        alphas = ctx.proj_canon(ctx.mul_many(rows[bad[:, 1]], u_inv))
+        pos = point_positions(ctx, alphas)
+        first = int(np.argmin(pos))
+        # the sweep skips the point 1, which every alpha here differs from
+        swept = int(pos[first] - (pos[first] > point_positions(ctx, base_point(ctx))[0]))
+        checked = min(total, -(-(swept + 1) // 4096) * 4096)
+        al = FieldElement(ctx, alphas[first])
+        inter = intersect(V, scale(V, al))
+        assert inter.dim >= 2
+        witness = {
+            "alpha": al.coeffs,
+            "intersection_dim": inter.dim,
+            "intersection_basis": [[int(c) for c in row] for row in inter.basis],
+        }
     return SidonReport(
         fingerprint=V.fingerprint(),
         r=2,

@@ -8,6 +8,7 @@ membership cheap, which the chain/stabilizer computations lean on heavily.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,17 +297,27 @@ def random_subspace(ctx: FieldCtx, k: int, rng: np.random.Generator) -> Subspace
     return out
 
 
-def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray:
-    """Canonical representatives of all projective points of F_{q^n}.
+def projective_point_count(ctx: FieldCtx, budget: int) -> int:
+    """(q^n - 1)/(q - 1), the number of projective points of F_{q^n}.
 
-    For prime q the reps (first nonzero coordinate 1) are enumerated
-    directly without building the full field.
+    Raises BudgetError when it exceeds ``budget``.
     """
     count = (ctx.order - 1) // (ctx.q - 1)
     if count > budget:
         raise BudgetError(
             f"{count} projective points exceed budget {budget}", required=count
         )
+    return count
+
+
+def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray:
+    """Canonical representatives of all projective points of F_{q^n}.
+
+    For prime q the reps (first nonzero coordinate 1) are enumerated
+    directly without building the full field. Their order is the one
+    :func:`point_positions` reports.
+    """
+    projective_point_count(ctx, budget)
     if ctx.a == 1:
         blocks = []
         d, p = ctx.dim, ctx.p
@@ -321,24 +332,99 @@ def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray
     return full_space(ctx).projective_points()
 
 
+def _base_p_values(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+    """Each row read as a base-p number, coordinate 0 the most significant digit."""
+    return rows @ ctx.p ** np.arange(ctx.dim - 1, -1, -1, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _sorted_point_values(ctx: FieldCtx) -> np.ndarray:
+    # for q = p^a, a > 1, the points come from np.unique: lexicographic, so ascending here
+    return _base_p_values(ctx, all_projective_points(ctx))
+
+
+def point_positions(ctx: FieldCtx, pts: np.ndarray) -> np.ndarray:
+    """Index of each canonical point row in :func:`all_projective_points` order.
+
+    For prime q a point whose first nonzero coordinate i is 1 lies in block
+    i, after the (p^dim - p^(dim-i))/(p - 1) points of the earlier blocks,
+    at the base-p value of its tail (coordinate i+1 the most significant
+    digit). For q = p^a, a > 1, positions are looked up in the point list,
+    enumerated once per field.
+    """
+    pts = np.atleast_2d(pts)
+    p, d = ctx.p, ctx.dim
+    if ctx.a > 1:
+        return np.searchsorted(_sorted_point_values(ctx), _base_p_values(ctx, pts))
+    first = np.argmax(pts != 0, axis=1)
+    # the full value counts the leading 1 as p^(d-1-i); the tail value does not
+    return (p**d - p ** (d - first)) // (p - 1) + _base_p_values(ctx, pts) - p ** (d - 1 - first)
+
+
+def base_point(ctx: FieldCtx) -> np.ndarray:
+    """Canonical representative of the projective point of F_q (alpha = 1)."""
+    return ctx.proj_canon(ctx.one_vec[None, :])[0]
+
+
 def off_base_field(ctx: FieldCtx, pts: np.ndarray) -> np.ndarray:
     """Mask of the canonical projective points ``pts`` other than the point of F_q (alpha = 1)."""
-    one = ctx.proj_canon(ctx.one_vec[None, :])[0]
-    return ~(pts == one).all(axis=1)
+    return ~(pts == base_point(ctx)).all(axis=1)
+
+
+def pair_intersection_dims(V: Subspace, rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """dim_Fq(uV intersect vV) for index pairs (i, j), u = rows[i], v = rows[j].
+
+    Uses rank(uV) + rank(vV) - rank(uV + vV) on the stacked bases
+    [u*B; v*B], vectorized over blocks of 4096 pairs, so memory does not
+    grow with the batch. Multiplying by u is an F_q-linear bijection, so
+    for u != 0 this is dim(V intersect (v/u)V).
+    """
+    ctx, B = V.ctx, V.basis
+    ranks = np.empty(pairs.shape[0], dtype=np.int64)
+    for lo in range(0, pairs.shape[0], 4096):
+        uv = rows[pairs[lo : lo + 4096]]
+        stacked = ctx.mul_many(uv[:, :, None], B).reshape(uv.shape[0], -1, ctx.dim)
+        ranks[lo : lo + 4096] = batch_rank(stacked, ctx.p)
+    return (2 * B.shape[0] - ranks) // ctx.a
+
+
+def _pairs_with_one(ctx: FieldCtx, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [1; alphas] and the pairs (1, alpha), one per alpha."""
+    m = alphas.shape[0]
+    pairs = np.column_stack([np.zeros(m, dtype=np.int64), np.arange(1, m + 1)])
+    return np.vstack([ctx.one_vec, alphas]), pairs
 
 
 def intersection_dims_with_scaled(V: Subspace, alphas: np.ndarray) -> np.ndarray:
     """dim_Fq(V intersect alpha*V) for a batch of scalars alpha (rows).
 
-    Uses rank(V) + rank(alpha V) - rank(V + alpha V) on stacked bases,
-    vectorized over blocks of 4096 alphas, so memory does not grow with
-    the batch.
+    The u = 1 case of :func:`pair_intersection_dims`.
     """
-    ctx, B = V.ctx, V.basis
-    alphas = np.atleast_2d(alphas)
-    ranks = np.empty(alphas.shape[0], dtype=np.int64)
-    for lo in range(0, alphas.shape[0], 4096):
-        scaled = ctx.mul_many(alphas[lo : lo + 4096, None], B)
-        stacked = np.concatenate([np.broadcast_to(B, scaled.shape), scaled], axis=1)
-        ranks[lo : lo + 4096] = batch_rank(stacked, ctx.p)
-    return (2 * B.shape[0] - ranks) // ctx.a
+    return pair_intersection_dims(V, *_pairs_with_one(V.ctx, np.atleast_2d(alphas)))
+
+
+def quotient_pairs(V: Subspace, *, budget: int = 1 << 22) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows and ordered index pairs (i, j) whose quotients rows[j]/rows[i]
+    reach every alpha outside F_q with V intersect alpha V != 0.
+
+    V intersect alpha V != 0 only when alpha = v/u for points u, v of V,
+    and then it has the dimension of uV intersect vV (Bachoc, Serra, Zemor
+    2017; Roth, Raviv, Tamo 2018). So the N(N-1) ordered pairs of distinct
+    points of V suffice; alpha = 1 never appears, every alpha outside
+    {v/u} has V intersect alpha V = 0, and an alpha with alpha V = V
+    permutes the points of V, so it is v/u for exactly N pairs (u, v).
+    When N(N-1) reaches the number of points other than 1, the pairs
+    (1, alpha) over those points are returned instead, one per alpha.
+
+    The third value is that count of pairs per alpha with alpha V = V
+    (N or 1); alpha = 1 takes as many, none of them listed. Raises
+    BudgetError when F_{q^n} has more than ``budget`` projective points.
+    """
+    ctx = V.ctx
+    count = projective_point_count(ctx, budget)
+    N = (ctx.q**V.dim - 1) // (ctx.q - 1)
+    if N * (N - 1) < count - 1:
+        i, j = np.nonzero(~np.eye(N, dtype=bool))
+        return V.projective_points(), np.column_stack([i, j]), N
+    pts = all_projective_points(ctx, budget=budget)
+    return *_pairs_with_one(ctx, pts[off_base_field(ctx, pts)]), 1

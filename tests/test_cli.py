@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sidonspace import experiments
+from sidonspace import cli, experiments
 from sidonspace.cli import build_parser, main
 from sidonspace.field import MAX_DIM
 
@@ -138,6 +138,20 @@ def test_check_intersection_needs_r2(capsys, tmp_path):
     f = trace_file(capsys, tmp_path)
     code, out, err = run_cli(capsys, "check", str(f), "--method", "intersection", "--r", "3")
     assert code == 64
+
+
+def test_check_both_refuses_r3_before_either_route_runs(capsys, tmp_path, monkeypatch):
+    f = trace_file(capsys, tmp_path)
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(cli, "is_r_sidon", no_route)
+    monkeypatch.setattr(cli, "is_sidon_intersection", no_route)
+    code, out, err = run_cli(capsys, "check", str(f), "--method", "both", "--r", "3")
+    assert code == 64
+    assert out == ""
+    assert "the intersection route only decides r = 2" in err
 
 
 def test_check_budget_exit(capsys, tmp_path):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import sidonspace.orbit as orbit_mod
 import sidonspace.subspace as subspace_mod
 from sidonspace.constructions import trace_space
 from sidonspace.errors import BudgetError, ConstructionError
@@ -127,7 +126,9 @@ def test_semilinear_budget():
 
 
 def test_semilinear_budget_is_checked_before_any_point_is_built(monkeypatch):
-    monkeypatch.setattr(orbit_mod, "all_projective_points", _no_points)
+    # the candidates come from the points of U; positions from the field's point list
+    monkeypatch.setattr(subspace_mod, "all_projective_points", _no_points)
+    monkeypatch.setattr(subspace_mod.Subspace, "projective_points", _no_points)
     ctx, gamma, f, V = graph_setup()
     with pytest.raises(BudgetError):
         semilinear_equivalent(V, V, budget=100)
@@ -192,7 +193,7 @@ def test_glk2_certificate_rejections():
 
 
 def test_orbit_report_ranks_at_most_4096_alphas_at_a_time(monkeypatch):
-    # F_2^13 has 8,191 projective points; one stack of all of them grows with the field
+    # only pairs of points of V are ranked: 7 * 6 for a 3-dim space of F_2^13, not its 8,191 points
     sizes = []
     real = subspace_mod.batch_rank
 
@@ -214,7 +215,12 @@ def test_orbit_report_ranks_at_most_4096_alphas_at_a_time(monkeypatch):
         "max_intersection_dim_nonbase": 2,
         "sidon": False,
     }
-    assert sum(sizes) == 8191 and max(sizes) <= 4096
+    assert sum(sizes) == 42 and max(sizes) <= 4096
+    # F_(2^7) in F_2^14: 127 * 126 = 16,002 pairs, fewer than the 16,382 points other than 1
+    sizes.clear()
+    rep = orbit_report(subfield_space(make_field(2, 1, 14), 7))
+    assert (rep.field_of_linearity, rep.orbit_size) == (7, 129)
+    assert sum(sizes) == 16002 and max(sizes) <= 4096
 
 
 def test_trace_space_with_no_subfield_alphas_still_builds():
