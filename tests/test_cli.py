@@ -7,7 +7,7 @@ import pytest
 
 from sidonspace import cli, experiments
 from sidonspace.cli import build_parser, main
-from sidonspace.field import MAX_DIM
+from sidonspace.field import MAX_DIM, field_from_spec
 
 
 def run_cli(capsys, *argv):
@@ -625,3 +625,25 @@ def test_modulus_entries_are_read_mod_p(capsys, tmp_path):
     code, rep, _ = run_json(capsys, "span", str(f))
     assert code == 0
     assert rep["field"]["modulus"] == [1, 1, 0, 1]
+
+
+# a bad prime power q gives the same error from a field spec and from `sidonspace field`
+BAD_Q = [
+    (1, "q must be a prime power, got 1"),
+    (-4, "q must be a prime power, got -4"),
+    (6, "q must be a prime power, got 6"),
+    (65537, "p must be below 65536, got 65537"),
+    (131074, "q must be a prime power, got 131074"),
+    (2**32 + 1, "q must be a prime power, got 4294967297"),
+    (2**70, f"a*n must be at most {MAX_DIM}, got 140"),
+]
+
+
+@pytest.mark.parametrize("q,message", BAD_Q, ids=[str(q) for q, _ in BAD_Q])
+def test_a_bad_q_is_a_usage_error(capsys, q, message):
+    with pytest.raises(ValueError) as ei:
+        field_from_spec({"q": q, "n": 2})
+    assert str(ei.value) == message
+    code, out, err = run_cli(capsys, "field", "--", str(q), "2")
+    assert code == 64 and out == ""
+    assert err == f"error: {message}\n"
