@@ -24,10 +24,10 @@ refuse floats, bools and elements of another field.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from sympy import divisors, factorint, isprime
 
 from . import gfpoly
 from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
@@ -44,6 +44,57 @@ MAX_P = 1 << 16
 #: Upper bound on a*n, checked before q = p^a or any table is built. The package builds
 #: at most F_7^61 (dim 61); a random F_2^128 takes about 1 s to set up, F_2^256 a minute.
 MAX_DIM = 128
+
+
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes below MAX_P, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (MAX_P - 2)
+    for i in range(2, math.isqrt(MAX_P) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, MAX_P, i)))
+    return tuple(i for i in range(MAX_P) if sieve[i])
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The prime factorization {prime: exponent} of n >= 1, primes ascending (sympy's result).
+
+    Trial division by the primes below MAX_P leaves a cofactor that is 1, a prime below
+    MAX_P^2, or at least MAX_P^2; only the last goes to sympy, imported here so that no
+    other path loads it.
+    """
+    out: dict[int, int] = {}
+    for ell in _small_primes():
+        if ell * ell > n:
+            break
+        while n % ell == 0:
+            n //= ell
+            out[ell] = out.get(ell, 0) + 1
+    if n >= MAX_P * MAX_P:
+        from sympy import factorint as sympy_factorint
+
+        out.update(sympy_factorint(n))
+    elif n > 1:
+        out[n] = 1
+    return out
+
+
+def isprime(n: int) -> bool:
+    return n > 1 and factorint(n) == {n: 1}
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending."""
+    out = [1]
+    for ell, e in factorint(n).items():
+        out = [d * ell**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def mobius(n: int) -> int:
+    """The Moebius function of n >= 1."""
+    fac = factorint(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def _check_params(p: int, a: int, n: int) -> None:
@@ -70,7 +121,7 @@ class FieldCtx:
         self.order = self.q**self.n
         self.seed = int(seed)
         #: the degrees m of the subfields F_{q^m}: the divisors of n, ascending
-        self.subfield_degrees = tuple(int(d) for d in divisors(self.n))
+        self.subfield_degrees = tuple(divisors(self.n))
         mod = self._ints(modulus)
         if mod.ndim != 1 or len(mod) != self.dim + 1:
             raise ConstructionError(
@@ -316,7 +367,7 @@ class FieldCtx:
     def group_factorization(self) -> dict[int, int]:
         """Prime factorization of q^n - 1 (cached)."""
         if self._group_factors is None:
-            self._group_factors = {int(k): int(v) for k, v in factorint(self.order - 1).items()}
+            self._group_factors = factorint(self.order - 1)
         return self._group_factors
 
     # -- reading values: every element and coefficient row enters here -------------------
@@ -522,7 +573,7 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """(p, a) with q = p^a, else ValueError."""
-    fac = factorint(q)
+    fac = factorint(q) if q > 1 else {}
     if len(fac) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
     ((p, a),) = fac.items()

@@ -17,7 +17,6 @@ irreducibles.
 from __future__ import annotations
 
 import numpy as np
-from sympy import divisors, mobius
 
 from .errors import NoSuchElementError, SupplyError
 from .linalg import mat_pow, rank
@@ -127,9 +126,11 @@ def is_irreducible(ctx, f) -> bool:
 
 def count_monic_irreducibles(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree exactly d over F_q."""
+    from .field import divisors, mobius  # field imports this module
+
     if d < 1:
         return 0
-    total = sum(int(mobius(e)) * q ** (d // e) for e in divisors(d))
+    total = sum(mobius(e) * q ** (d // e) for e in divisors(d))
     assert total % d == 0
     return total // d
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from sympy import isprime
 
 from .errors import BudgetError
-from .field import FieldElement
+from .field import FieldElement, isprime
 from .subspace import (
     Subspace,
     base_point,

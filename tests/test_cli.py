@@ -629,6 +629,7 @@ def test_modulus_entries_are_read_mod_p(capsys, tmp_path):
 
 # a bad prime power q gives the same error from a field spec and from `sidonspace field`
 BAD_Q = [
+    (0, "q must be a prime power, got 0"),
     (1, "q must be a prime power, got 1"),
     (-4, "q must be a prime power, got -4"),
     (6, "q must be a prime power, got 6"),

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +14,23 @@ from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import (
     DiscreteLogTable,
     MAX_DIM,
+    MAX_P,
     FieldCtx,
     FieldElement,
+    divisors,
+    factorint,
     field_from_spec,
     find_generator,
+    isprime,
     make_field,
     minimal_polynomial,
+    mobius,
     norm,
     prime_ctx,
     subfield_embedding,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_characteristic_bound():
@@ -473,3 +485,62 @@ def test_proj_canon_is_the_smallest_vector_of_each_scaling_orbit(p, a, n):
         min(tuple(int(c) for c in ctx.mul(u, s)) for s in scalars) for u in U
     ]
     assert ctx.proj_canon(U).tolist() == [list(w) for w in want]
+
+
+# -- number theory: trial division below MAX_P, sympy only for a large cofactor ----------
+
+
+def test_factorint_is_sympys_below_max_p():
+    for n in range(1, MAX_P):
+        assert list(factorint(n).items()) == list(sympy.factorint(n).items()), n
+
+
+def test_factorint_is_sympys_on_group_orders():
+    cases = [p**d - 1 for p in (2, 3, 5, 7) for d in range(1, 33)] + [2**61 - 1, 2**64 - 1]
+    large_cofactors = 0
+    for n in cases:
+        want = sympy.factorint(n)
+        assert list(factorint(n).items()) == list(want.items()), n
+        large_cofactors += math.prod(ell**e for ell, e in want.items() if ell >= MAX_P) >= MAX_P**2
+    assert large_cofactors == 19  # the cases that reach sympy
+
+
+def test_isprime_divisors_and_mobius_are_sympys():
+    assert [n for n in range(-2, MAX_P) if isprime(n)] == list(sympy.primerange(MAX_P))
+    for n in range(1, MAX_DIM + 1):
+        assert divisors(n) == sympy.divisors(n)
+        assert mobius(n) == sympy.mobius(n)
+
+
+def _loads_sympy(code: str) -> bool:
+    """Whether sympy is in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sidonspace",
+        "import sidonspace.cli",
+        "from sidonspace import make_field; make_field(2, 1, 9)",
+        "from sidonspace import binomial_family, extract_brset, find_generator, make_field\n"
+        "gamma = find_generator(make_field(3, 1, 16), over_m=4, primitive=True)\n"
+        "rec = binomial_family(3, 4, 1, 4, 'end', gamma=gamma)\n"
+        "assert extract_brset(rec.space, 3, gamma, verify=True).verified",
+        "from sidonspace.cli import main; main(['field', '9', '2', '--primitive'])",
+    ],
+    ids=["import", "import-cli", "make-field-2-9", "b3-extraction-3-16", "cli-field-primitive"],
+)
+def test_sympy_stays_unloaded(code):
+    assert not _loads_sympy(code)
+
+
+def test_a_large_cofactor_loads_sympy():
+    assert _loads_sympy("from sidonspace import make_field; make_field(2, 1, 61).group_factorization()")
+    assert make_field(2, 1, 61).group_factorization() == sympy.factorint(2**61 - 1)
