@@ -8,21 +8,24 @@ compares every later multiset with every earlier one.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sidonspace.brset import is_br_set
-from sidonspace.field import DiscreteLogTable, FieldElement, find_generator, make_field
+from sidonspace.field import find_generator, make_field
 from sidonspace.qpoly import LinearizedPoly, is_scattered
-from sidonspace.sidon import first_collision, is_r_sidon
-from sidonspace.subspace import random_subspace, subfield_space
+from sidonspace.sidon import first_collision, is_r_sidon, is_sidon_intersection
+from sidonspace.subspace import random_subspace, scale, subfield_space
 
 BLOCK = 8192  # a collision counts multisets_checked through its block
 
 # F_2^6, F_3^4 and F_(4^3), as (p, a, n)
 FIELDS = [(2, 1, 6), (3, 1, 4), (2, 2, 3)]
+# fields small enough to list every power of a generator
+LOG_FIELDS = FIELDS + [(2, 1, 7), (2, 1, 8), (3, 1, 5)]
 
 
 def first_repeat(keys: list) -> tuple[int, int] | None:
@@ -36,6 +39,23 @@ def first_repeat(keys: list) -> tuple[int, int] | None:
 
 def multisets(N: int, r: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(N), r))
+
+
+def stepping_logs(ctx, g) -> dict[bytes, int]:
+    """{(g^i).tobytes(): i} for 0 <= i < q^n - 1, by repeated multiplication by g."""
+    out, cur = {}, ctx.one_vec
+    for i in range(ctx.order - 1):
+        out[cur.tobytes()] = i
+        cur = ctx.mul(cur, g.vec)
+    return out
+
+
+def point_logs(V, g) -> list[int]:
+    """The logs to the base g of V's projective points, mod (q^n - 1)/(q - 1)."""
+    ctx = V.ctx
+    logs = stepping_logs(ctx, g)
+    M = (ctx.order - 1) // (ctx.q - 1)
+    return [logs[v.tobytes()] % M for v in V.projective_points()]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -134,17 +154,57 @@ def _reference_br(elems, r, modulus):
 def test_is_br_set_of_discrete_logs_matches_all_pairs(field):
     # V is r-Sidon exactly when the logs of its points are a B_r-set mod M
     ctx = make_field(*field)
-    table = DiscreteLogTable(find_generator(ctx, primitive=True))
+    g = find_generator(ctx, primitive=True)
     M = (ctx.order - 1) // (ctx.q - 1)
     verdicts = set()
     for V in spaces(field):
-        logs = [table.log(FieldElement(ctx, v)) % M for v in V.projective_points()]
+        logs = point_logs(V, g)
         for r in (2, 3):
             expected = _reference_br(logs, r, M)
             assert is_br_set(logs, r, modulus=M) == expected
             assert expected[0] == is_r_sidon(V, r).verdict
             verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+def is_br_by_counting(logs, r, M) -> bool:
+    """All r-fold sums mod M distinct: as many distinct sums as multisets."""
+    sums = {sum(ms) % M for ms in itertools.combinations_with_replacement(logs, r)}
+    return len(sums) == math.comb(len(logs) + r - 1, r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(LOG_FIELDS),
+    k=st.integers(0, 8),
+    subfield=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(field=(2, 1, 6), k=0, subfield=True, seed=0)  # F_8 scaled: neither Sidon nor B_2
+@example(field=(2, 1, 7), k=1, subfield=False, seed=0)  # a 2-dim space of F_2^7
+@example(field=(2, 2, 3), k=1, subfield=False, seed=1)
+@example(field=(3, 1, 4), k=2, subfield=False, seed=2)  # 3 of 4 dimensions: not Sidon
+def test_r_sidon_exactly_when_the_point_logs_are_a_br_set(field, k, subfield, seed):
+    """Roth, Raviv and Tamo: V is r-Sidon iff the logs of its points are a B_r-set
+    mod (q^n - 1)/(q - 1). The logs come from stepping through the powers of g."""
+    ctx = make_field(*field)
+    rng = np.random.default_rng(seed)
+    if subfield and len(ctx.subfield_degrees) > 2:
+        m = ctx.subfield_degrees[1 + k % (len(ctx.subfield_degrees) - 2)]
+        V = scale(subfield_space(ctx, m), find_generator(ctx, seed=seed))
+    else:
+        V = random_subspace(ctx, 1 + k % min(ctx.n - 1, 4), rng)
+    g = find_generator(ctx, primitive=True, seed=seed % 3)
+    logs = point_logs(V, g)
+    M = (ctx.order - 1) // (ctx.q - 1)
+    assert len(set(logs)) == len(logs)
+    sidon_2 = is_sidon_intersection(V).verdict
+    for r in (2, 3):
+        verdict = is_r_sidon(V, r).verdict
+        if r == 2:
+            assert verdict == sidon_2
+        assert is_br_by_counting(logs, r, M) == verdict
+        assert is_br_set(logs, r, modulus=M)[0] == verdict
 
 
 @pytest.mark.parametrize("seed", range(12))
