@@ -123,9 +123,7 @@ def extract_brset(
         if not report.verdict:
             raise ValueError(f"V is not {r}-fold product-injective: {report.witness}")
     M = (ctx.order - 1) // (ctx.q - 1)
-    table = DiscreteLogTable(gamma)
-    pts = V.projective_points()
-    logs = sorted(table.log(FieldElement(ctx, v)) % M for v in pts)
+    logs = sorted(x % M for x in DiscreteLogTable(gamma).log_many(V.projective_points()))
     if len(set(logs)) != len(logs):
         raise ValueError("projective points mapped to colliding residues")
     expected = (ctx.q**V.dim - 1) // (ctx.q - 1)

@@ -781,10 +781,16 @@ def subfield_embedding(small: FieldCtx, big: FieldCtx) -> np.ndarray:
 
 
 class DiscreteLogTable:
-    """Baby-step/giant-step table for logs to a fixed base.
+    """Discrete logs to a fixed base by Pohlig-Hellman (Pohlig, Hellman, IEEE T-IT 24(1), 1978).
 
-    Holds :meth:`steps` (q^n - 1) baby steps; each query then needs at most
-    that many giant steps.
+    The base generates a cyclic group of order o dividing q^n - 1 (o = q^n - 1 for a
+    primitive base), read off the cached :meth:`FieldCtx.group_factorization`. For each
+    prime power ell^f exactly dividing o, :meth:`log_many` raises every row to o/ell^f in
+    one ``pow_many`` and peels off the f base-ell digits of its log, each by
+    baby-step/giant-step in the subgroup of order ell: a table of :meth:`steps` (ell)
+    baby steps, and giant steps by ``mul_many`` over the rows not yet resolved. CRT joins
+    the residues. A call costs about sum f*(log2 o + sqrt(ell)) batched products, however
+    many rows it takes; for a prime o it is plain baby-step/giant-step.
     """
 
     @staticmethod
@@ -793,28 +799,71 @@ class DiscreteLogTable:
         return math.isqrt(group_order - 1) + 1
 
     def __init__(self, base: FieldElement):
-        self.ctx = base.ctx
+        ctx = self.ctx = base.ctx
         self.base = base
-        N = self.ctx.order - 1
-        self.group_order = N
-        self.m = m = self.steps(N)
-        self.baby: dict[bytes, int] = {}
-        cur = self.ctx.one_vec
-        for j in range(m):
-            key = cur.tobytes()
-            if key not in self.baby:
-                self.baby[key] = j
-            cur = self.ctx.mul(cur, base.vec)
-        self.giant = self.ctx.pow_elem(base.vec, N - m)  # base^(-m)
+        self.group_order = ctx.order - 1
+        # the order o of the base: drop each prime from q^n - 1 while base^(o/ell) = 1
+        exps, o = dict(ctx.group_factorization()), self.group_order
+        for ell in exps:
+            while exps[ell] and (ctx.pow_elem(base.vec, o // ell) == ctx.one_vec).all():
+                o //= ell
+                exps[ell] -= 1
+        self.order = o
+        # per ell^f || o: baby table of gamma (order ell), gamma^-m, h^-(ell^i) for the
+        # digits (h = base^(o/ell^f), order ell^f), and the CRT coefficient
+        self._parts = []
+        for ell, f in exps.items():
+            if not f:
+                continue
+            h = ctx.pow_elem(base.vec, o // ell**f)
+            gamma = ctx.pow_elem(h, ell ** (f - 1))
+            m = self.steps(ell)
+            baby, cur = {}, ctx.one_vec
+            for j in range(m):
+                baby[cur.tobytes()] = j
+                cur = ctx.mul(cur, gamma)
+            lift = [ctx.pow_elem(h, ell**f - ell**i) for i in range(f - 1)]
+            cofactor = o // ell**f
+            coef = cofactor * pow(cofactor, -1, ell**f)
+            self._parts.append((ell, f, baby, ctx.pow_elem(gamma, ell - m), lift, coef))
+
+    def _digits(self, Y: np.ndarray, baby: dict, giant: np.ndarray) -> np.ndarray:
+        """i*m + j for each row y of Y, with y * giant^i = gamma^j the first baby-table hit."""
+        m, out, todo = len(baby), np.empty(len(Y), dtype=np.int64), np.arange(len(Y))
+        for i in range(m):
+            hits = np.fromiter((baby.get(y.tobytes(), -1) for y in Y), np.int64, len(Y))
+            found = hits >= 0
+            out[todo[found]] = i * m + hits[found]
+            todo, Y = todo[~found], Y[~found]
+            if not todo.size:
+                return out
+            Y = self.ctx.mul_many(Y, giant)
+        raise ValueError("element is not a power of the base")
+
+    def log_many(self, rows) -> list[int]:
+        """The log in [0, o) of each row (FieldElements or coefficient rows, see
+        :meth:`FieldCtx.rows`); ValueError on a zero row or one outside the base's group."""
+        ctx, o = self.ctx, self.order
+        X = ctx.rows(rows)
+        if not X.any(axis=1).all():
+            raise ValueError("zero has no discrete log")
+        if o < self.group_order and not (ctx.pow_many(X, o) == ctx.one_vec).all():
+            raise ValueError("element is not a power of the base")
+        logs = np.zeros(len(X), dtype=object)  # Python ints: o may pass int64
+        for ell, f, baby, giant, lift, coef in self._parts:
+            W = ctx.pow_many(X, o // ell**f)
+            residue = np.zeros(len(X), dtype=object)
+            for i in range(f):
+                digit = self._digits(ctx.pow_many(W, ell ** (f - 1 - i)), baby, giant)
+                residue += digit.astype(object) * ell**i
+                if i < f - 1:  # W *= h^-(digit * ell^i), one masked product per bit
+                    c = lift[i]
+                    for b in range(int(digit.max(initial=0)).bit_length()):
+                        odd = (digit >> b) & 1 == 1
+                        W[odd] = ctx.mul_many(W[odd], c)
+                        c = ctx.mul(c, c)
+            logs += residue * coef
+        return [int(x) % o for x in logs]
 
     def log(self, x: FieldElement) -> int:
-        x = self.ctx.element(x)
-        if x.is_zero():
-            raise ValueError("zero has no discrete log")
-        cur = x.vec
-        for i in range(self.m + 1):
-            j = self.baby.get(cur.tobytes())
-            if j is not None:
-                return (i * self.m + j) % self.group_order
-            cur = self.ctx.mul(cur, self.giant)
-        raise ValueError("element is not a power of the base")
+        return self.log_many([self.ctx.element(x)])[0]

@@ -388,7 +388,49 @@ def test_discrete_log_large_field():
     table = DiscreteLogTable(g)
     assert table.log(g ** 123456) == 123456
     assert table.log(ctx.one) == 0
-    assert table.m == 6561  # 6561^2 = 3^16 = group order + 1
+    # 3^16 - 1 = 2^6 * 5 * 17 * 41 * 193: six digits for 2, one for each other prime
+    exps = [int(e) for e in np.random.default_rng(16).integers(0, ctx.order - 1, 200)]
+    assert table.log_many(np.array([ctx.pow_elem(g.vec, e) for e in exps])) == exps
+
+
+def stepping_powers(ctx, g) -> np.ndarray:
+    """The rows g^0, g^1, ..., g^(q^n - 2), by repeated multiplication by g."""
+    out = np.empty((ctx.order - 1, ctx.dim), dtype=np.int64)
+    cur = ctx.one_vec
+    for i in range(ctx.order - 1):
+        out[i] = cur
+        cur = ctx.mul(cur, g.vec)
+    return out
+
+
+# q^n - 1 = 63 = 3^2 * 7, 80 = 2^4 * 5 (digits), 63 with a = 2, and the primes 127 and 8191
+@pytest.mark.parametrize("field", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 7), (2, 1, 13)],
+                         ids=lambda f: "F%d^%d^%d" % f)
+def test_log_many_inverts_every_power_of_the_generator(field):
+    ctx = make_field(*field)
+    g = find_generator(ctx, primitive=True)
+    powers = stepping_powers(ctx, g)
+    assert len({row.tobytes() for row in powers}) == ctx.order - 1  # g is primitive
+    table = DiscreteLogTable(g)
+    assert table.log_many(powers) == list(range(ctx.order - 1))
+    assert table.log_many(powers[::-1]) == list(range(ctx.order - 2, -1, -1))
+
+
+def test_discrete_log_to_a_base_that_is_not_primitive():
+    ctx = make_field(3, 1, 4)
+    g = find_generator(ctx, primitive=True)
+    powers = stepping_powers(ctx, g)
+    for d in (2, 5, 8, 10, 16, 40, 80):  # the base g^d has order 80/d
+        table = DiscreteLogTable(g ** d)
+        assert table.order == 80 // d
+        assert table.log_many(powers[::d]) == list(range(80 // d))
+        if d > 1:
+            with pytest.raises(ValueError, match="not a power of the base"):
+                table.log(g)
+            with pytest.raises(ValueError, match="not a power of the base"):
+                table.log_many(powers[:2])
+    with pytest.raises(ValueError, match="zero has no discrete log"):
+        DiscreteLogTable(g).log_many([g, ctx.zero])
 
 
 def test_discrete_log_steps_is_the_ceiling_of_the_square_root():
