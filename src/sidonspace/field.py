@@ -56,13 +56,9 @@ def _small_primes() -> tuple[int, ...]:
     return tuple(i for i in range(MAX_P) if sieve[i])
 
 
-def factorint(n: int) -> dict[int, int]:
-    """The prime factorization {prime: exponent} of n >= 1, primes ascending (sympy's result).
-
-    Trial division by the primes below MAX_P leaves a cofactor that is 1, a prime below
-    MAX_P^2, or at least MAX_P^2; only the last goes to sympy, imported here so that no
-    other path loads it.
-    """
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """({prime: exponent} over the primes below MAX_P that divide n >= 1, cofactor): the
+    cofactor is 1, a prime below MAX_P^2, or at least MAX_P^2 with no prime factor below MAX_P."""
     out: dict[int, int] = {}
     for ell in _small_primes():
         if ell * ell > n:
@@ -70,6 +66,16 @@ def factorint(n: int) -> dict[int, int]:
         while n % ell == 0:
             n //= ell
             out[ell] = out.get(ell, 0) + 1
+    return out, n
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The prime factorization {prime: exponent} of n >= 1, primes ascending (sympy's result).
+
+    Trial division leaves a cofactor that is 1, a prime below MAX_P^2, or at least
+    MAX_P^2; only the last goes to sympy, imported here so that no other path loads it.
+    """
+    out, n = _trial_division(n)
     if n >= MAX_P * MAX_P:
         from sympy import factorint as sympy_factorint
 
@@ -80,6 +86,11 @@ def factorint(n: int) -> dict[int, int]:
 
 
 def isprime(n: int) -> bool:
+    """Primality by trial division below MAX_P^2 and by sympy's test from there on."""
+    if n >= MAX_P * MAX_P:
+        from sympy import isprime as sympy_isprime
+
+        return bool(sympy_isprime(n))
     return n > 1 and factorint(n) == {n: 1}
 
 
@@ -572,12 +583,27 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
-    """(p, a) with q = p^a, else ValueError."""
-    fac = factorint(q) if q > 1 else {}
-    if len(fac) != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    ((p, a),) = fac.items()
-    return int(p), int(a)
+    """(p, a) with q = p^a, else ValueError; q is never factored in full.
+
+    After trial division, a cofactor of MAX_P^2 or more is a prime power only when it is
+    all of q, so q = p^a with p >= MAX_P: each a up to log_MAX_P(q) is tried by an
+    integer root and a primality test on the root.
+    """
+    fac, rest = _trial_division(q) if q > 1 else ({}, 1)
+    if rest < MAX_P * MAX_P:
+        if rest > 1:
+            fac[rest] = 1
+        if len(fac) == 1:
+            ((p, a),) = fac.items()
+            return int(p), int(a)
+    elif not fac:  # every prime factor of q is at least MAX_P
+        from sympy import integer_nthroot
+
+        for a in range(1, (q.bit_length() - 1) // (MAX_P.bit_length() - 1) + 1):
+            p, exact = integer_nthroot(q, a)
+            if exact and isprime(p):
+                return int(p), a
+    raise ValueError(f"q must be a prime power, got {q}")
 
 
 def field_from_spec(spec: dict) -> FieldCtx:

@@ -637,6 +637,10 @@ BAD_Q = [
     (131074, "q must be a prime power, got 131074"),
     (2**32 + 1, "q must be a prime power, got 4294967297"),
     (2**70, f"a*n must be at most {MAX_DIM}, got 140"),
+    # two prime factors near 10^24: refused without factoring q
+    (3000000000000000000000028000000000000000000000049,
+     "q must be a prime power, got 3000000000000000000000028000000000000000000000049"),
+    ((2**61 - 1) ** 2, "p must be below 65536, got 2305843009213693951"),
 ]
 
 

@@ -549,6 +549,9 @@ def test_factorint_is_sympys_on_group_orders():
 
 def test_isprime_divisors_and_mobius_are_sympys():
     assert [n for n in range(-2, MAX_P) if isprime(n)] == list(sympy.primerange(MAX_P))
+    big = [2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 1, (2**61 - 1) ** 2,
+           sympy.nextprime(10**24) * sympy.nextprime(3 * 10**24)]
+    assert [isprime(n) for n in big] == [sympy.isprime(n) for n in big]
     for n in range(1, MAX_DIM + 1):
         assert divisors(n) == sympy.divisors(n)
         assert mobius(n) == sympy.mobius(n)
