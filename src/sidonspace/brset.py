@@ -111,6 +111,10 @@ def extract_brset(
     assume_r_sidon marks it as already established by the caller. With
     translate, the set is shifted so its minimum is 0. With verify, the
     extracted set is re-checked as a B_r-set by sum enumeration.
+
+    All logs come from one :meth:`DiscreteLogTable.log_many` call, which costs about
+    sum e*(log2 N + sqrt(ell)) batched products over the prime powers ell^e || N = q^n - 1,
+    whatever the number of points.
     """
     if V.is_zero():
         raise ValueError("cannot extract a B_r-set from the zero space")
