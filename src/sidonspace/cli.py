@@ -28,7 +28,8 @@ from .constructions import (
 )
 from .errors import BudgetError, ConstructionError, NoSuchElementError
 from .experiments import EXPERIMENTS, ExperimentSpec, _json_default, run_experiment
-from .field import find_generator, make_field, split_prime_power
+from .field import find_generator, make_field
+from .numtheory import split_prime_power
 from .orbit import orbit_report, semilinear_equivalent
 from .sidon import is_r_sidon, is_sidon_intersection
 from .subspace import Subspace, span_chain, stabilizer

@@ -24,7 +24,6 @@ refuse floats, bools and elements of another field.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -32,83 +31,19 @@ import numpy as np
 from . import gfpoly
 from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
 from .linalg import inverse_table, mat_pow, right_nullspace, rref, square_multiply
+from .numtheory import MAX_P, divisors, factorint, isprime, split_prime_power
 
 _CTX_CACHE: dict = {}
 _EMBED_CACHE: dict = {}
-
-#: Exclusive upper bound on the characteristic. Below it the inverse table
-#: (p int64 entries) stays small, and the int64 sums in ``mul_many`` (at most
-#: dim * (p-1)^2 before reduction) cannot overflow for any dim below 2^31.
-MAX_P = 1 << 16
 
 #: Upper bound on a*n, checked before q = p^a or any table is built. The package builds
 #: at most F_7^61 (dim 61); a random F_2^128 takes about 1 s to set up, F_2^256 a minute.
 MAX_DIM = 128
 
 
-@functools.cache
-def _small_primes() -> tuple[int, ...]:
-    """The primes below MAX_P, by the sieve of Eratosthenes."""
-    sieve = bytearray([0, 0]) + bytearray([1]) * (MAX_P - 2)
-    for i in range(2, math.isqrt(MAX_P) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, MAX_P, i)))
-    return tuple(i for i in range(MAX_P) if sieve[i])
-
-
-def _trial_division(n: int) -> tuple[dict[int, int], int]:
-    """({prime: exponent} over the primes below MAX_P that divide n >= 1, cofactor): the
-    cofactor is 1, a prime below MAX_P^2, or at least MAX_P^2 with no prime factor below MAX_P."""
-    out: dict[int, int] = {}
-    for ell in _small_primes():
-        if ell * ell > n:
-            break
-        while n % ell == 0:
-            n //= ell
-            out[ell] = out.get(ell, 0) + 1
-    return out, n
-
-
-def factorint(n: int) -> dict[int, int]:
-    """The prime factorization {prime: exponent} of n >= 1, primes ascending (sympy's result).
-
-    Trial division leaves a cofactor that is 1, a prime below MAX_P^2, or at least
-    MAX_P^2; only the last goes to sympy, imported here so that no other path loads it.
-    """
-    out, n = _trial_division(n)
-    if n >= MAX_P * MAX_P:
-        from sympy import factorint as sympy_factorint
-
-        out.update(sympy_factorint(n))
-    elif n > 1:
-        out[n] = 1
-    return out
-
-
-def isprime(n: int) -> bool:
-    """Primality by trial division below MAX_P^2 and by sympy's test from there on."""
-    if n >= MAX_P * MAX_P:
-        from sympy import isprime as sympy_isprime
-
-        return bool(sympy_isprime(n))
-    return n > 1 and factorint(n) == {n: 1}
-
-
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending."""
-    out = [1]
-    for ell, e in factorint(n).items():
-        out = [d * ell**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
-def mobius(n: int) -> int:
-    """The Moebius function of n >= 1."""
-    fac = factorint(n)
-    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
-
-
 def _check_params(p: int, a: int, n: int) -> None:
+    # below MAX_P the inverse table (p int64 entries) stays small, and the int64 sums in
+    # mul_many (at most dim * (p-1)^2 before reduction) cannot overflow for dim below 2^31
     if p >= MAX_P:
         raise ValueError(f"p must be below {MAX_P}, got {p}")
     if not isprime(p):
@@ -582,30 +517,6 @@ def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> F
     return _CTX_CACHE[key]
 
 
-def split_prime_power(q: int) -> tuple[int, int]:
-    """(p, a) with q = p^a, else ValueError; q is never factored in full.
-
-    After trial division, a cofactor of MAX_P^2 or more is a prime power only when it is
-    all of q, so q = p^a with p >= MAX_P: each a up to log_MAX_P(q) is tried by an
-    integer root and a primality test on the root.
-    """
-    fac, rest = _trial_division(q) if q > 1 else ({}, 1)
-    if rest < MAX_P * MAX_P:
-        if rest > 1:
-            fac[rest] = 1
-        if len(fac) == 1:
-            ((p, a),) = fac.items()
-            return int(p), int(a)
-    elif not fac:  # every prime factor of q is at least MAX_P
-        from sympy import integer_nthroot
-
-        for a in range(1, (q.bit_length() - 1) // (MAX_P.bit_length() - 1) + 1):
-            p, exact = integer_nthroot(q, a)
-            if exact and isprime(p):
-                return int(p), a
-    raise ValueError(f"q must be a prime power, got {q}")
-
-
 def field_from_spec(spec: dict) -> FieldCtx:
     """The field of a spec, checked entry by entry: the p-form that :meth:`FieldCtx.to_spec`
     writes, or the q-form, which gives the prime power ``q`` in place of ``p`` and ``a``.
@@ -892,4 +803,5 @@ class DiscreteLogTable:
         return [int(x) % o for x in logs]
 
     def log(self, x: FieldElement) -> int:
+        """The log of one element: the one-row case of :meth:`log_many`."""
         return self.log_many([self.ctx.element(x)])[0]

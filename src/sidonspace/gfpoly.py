@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NoSuchElementError, SupplyError
 from .linalg import mat_pow, rank
+from .numtheory import divisors, mobius
 
 
 def _norm(c: np.ndarray) -> np.ndarray:
@@ -126,8 +127,6 @@ def is_irreducible(ctx, f) -> bool:
 
 def count_monic_irreducibles(q: int, d: int) -> int:
     """Number of monic irreducible polynomials of degree exactly d over F_q."""
-    from .field import divisors, mobius  # field imports this module
-
     if d < 1:
         return 0
     total = sum(mobius(e) * q ** (d // e) for e in divisors(d))

@@ -27,7 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetError
-from .field import FieldElement, isprime
+from .field import FieldElement
+from .numtheory import isprime
 from .subspace import (
     Subspace,
     base_point,

@@ -14,21 +14,17 @@ from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import (
     DiscreteLogTable,
     MAX_DIM,
-    MAX_P,
     FieldCtx,
     FieldElement,
-    divisors,
-    factorint,
     field_from_spec,
     find_generator,
-    isprime,
     make_field,
     minimal_polynomial,
-    mobius,
     norm,
     prime_ctx,
     subfield_embedding,
 )
+from sidonspace.numtheory import MAX_P, divisors, factorint, isprime, mobius
 
 ROOT = Path(__file__).resolve().parent.parent
 
