@@ -20,7 +20,7 @@ def main() -> None:
     gamma = find_generator(ctx, over_m=3)
     f = LinearizedPoly.monomial(ctx, 3, 1)
     print(f"gamma coefficients: {gamma.coeffs}")
-    print(f"f = x^2 is scattered over the k = 3 subfield: {is_scattered(f)}")
+    print(f"f = x^2 is scattered over the k = 3 subfield: {is_scattered(f)[0]}")
 
     V = v_f_gamma(f, gamma)
     print(f"graph space dim: {V.dim}")

@@ -27,7 +27,7 @@ from .constructions import (
     trace_space,
 )
 from .errors import BudgetError, ConstructionError, NoSuchElementError
-from .experiments import EXPERIMENTS, ExperimentSpec, _json_default, run_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, report_json, run_experiment
 from .field import find_generator, make_field
 from .numtheory import split_prime_power
 from .orbit import orbit_report, semilinear_equivalent
@@ -58,11 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict | str, out: str | None) -> None:
-    text = (
-        report
-        if isinstance(report, str)
-        else json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
-    )
+    text = report if isinstance(report, str) else report_json(report)
     sys.stdout.write(text)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -227,47 +223,21 @@ def _cmd_brset_extract(args) -> int:
         "gamma": gamma.coeffs,
         "seed": args.seed,
     }
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(report_json(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(bs.to_dict(), sort_keys=True, indent=2, default=_json_default)
-                + "\n"
-            )
+            fh.write(report_json(bs.to_dict()))
     return EXIT_MATCH
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--param expects key=value, got {pair!r}")
-        key, _, val = pair.partition("=")
-        if key in params:
-            raise ValueError(f"{key!r} is given more than once by --param")
-        try:
-            params[key] = json.loads(val)
-        except json.JSONDecodeError:
-            params[key] = val
-    return params
-
-
 def _cmd_experiment(args) -> int:
-    params = _parse_params(args.param)
     flags = {
         "budget": args.budget,
         "limit": args.limit,
         "samples": args.samples,
         "collect_audits": args.collect_audits or None,
     }
-    for key, value in flags.items():
-        if value is None:
-            continue
-        if key in params:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{key!r} is given both by --param and by {flag}")
-        params[key] = value
+    params = {key: value for key, value in flags.items() if value is not None}
     spec = ExperimentSpec(args.name, params, seed=args.seed)
     report = run_experiment(spec)
     text = report.to_csv() if args.format == "csv" else report.to_json()
@@ -382,7 +352,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", parents=[out, seed, budget], help="run a named experiment")
     p.add_argument("name", help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--limit", type=int, default=None, help="only the first N rows")
     p.add_argument("--samples", type=int, default=None, help="sample count override")
     p.add_argument("--collect-audits", action="store_true")

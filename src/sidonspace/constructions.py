@@ -152,7 +152,7 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
     V = v_f_gamma(f, gamma)
     if V.dim != k:
         raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
-    if not is_scattered(f):
+    if not is_scattered(f)[0]:
         raise ConstructionError("monomial with gcd(s,k)=1 must be scattered")
     # For k >= 3 the layered span law gives dim V^s = sk up to t-1; for
     # k = 2 that exceeds the universal cap C(k+s-1, s), which is what the
@@ -237,14 +237,17 @@ def binomial_family(
     """Graph space of a two-term q-polynomial over F_{q^k} in F_{q^(kt)}.
 
     variant "mid" uses x^(q^s) + delta x^(q^(2s)); variant "end" uses
-    x^(q^s) + delta x^(q^(s(k-1))). delta must be nonzero, and for the end
+    x^(q^s) + delta x^(q^(s(k-1))). gcd(s, k) must be 1, as for
+    :func:`monomial`. delta must be nonzero, and for the end
     variant with even k its norm down to F_q must differ from 1 (the Sidon
     guarantee fails otherwise).
     """
     p, a = split_prime_power(q)
     n = k * t
-    ctx = make_field(p, a, n, seed=seed)
-    e2 = binomial_exponent(variant, s, k)  # after make_field has refused k < 1
+    ctx = make_field(p, a, n, seed=seed)  # refuses k < 1 before k is read below
+    if math.gcd(s, k) != 1:
+        raise ConstructionError(f"gcd(s, k) must be 1, got s={s}, k={k}")
+    e2 = binomial_exponent(variant, s, k)
     if delta is None:
         rng = np.random.default_rng((p, a, n, k, seed, 0xD))
         B = ctx.subfield_fp_basis(k)

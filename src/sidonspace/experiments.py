@@ -26,7 +26,7 @@ from .constructions import admissible_deltas, binomial_exponent, binomial_family
 from .errors import int_scalar
 from .field import DiscreteLogTable, find_generator, make_field
 from .qpoly import LinearizedPoly
-from .sidon import audit_bounds, is_r_sidon, max_span_bound
+from .sidon import audit_bounds, max_span_bound, r_sidon_profile
 from .subspace import random_subspace, span, span_levels
 
 
@@ -38,6 +38,12 @@ def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
+
+
+def report_json(obj) -> str:
+    """The one JSON form of every report: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+
 
 # (r, n, k) rows, q = 2, s = 1, variant "mid": f = x^(q^s) + delta x^(q^(2s)), all delta != 0
 TABLE2_ROWS: tuple[tuple[int, int, int], ...] = (
@@ -127,10 +133,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_json_default)
-            + "\n"
-        )
+        return report_json(self.to_dict())
 
     def to_csv(self) -> str:
         cols: list[str] = []
@@ -288,14 +291,13 @@ def _gamma_sweep(f: LinearizedPoly, family: str, collect, audits, **extra) -> di
         rows = (B + ctx.mul_many(gv, FB)) % ctx.p
         V = span(ctx, rows)
         assert V.dim == k, "graph space lost dimension"
-        rep2 = is_r_sidon(V, 2)
-        rep3 = is_r_sidon(V, 3)
-        two += rep2.verdict
-        three += rep3.verdict
-        if not rep2.verdict and first_bad_two is None:
-            first_bad_two = {"gamma": [int(c) for c in gv], "witness": rep2.witness}
+        profile = r_sidon_profile(V, 3)
+        vouched = {rep.r: "measured:products" for rep in profile if rep.verdict}
+        two += 2 in vouched
+        three += 3 in vouched
+        if 2 not in vouched and first_bad_two is None:
+            first_bad_two = {"gamma": [int(c) for c in gv], "witness": profile[0].witness}
         if collect:
-            vouched = {r: "measured:products" for r, rep in ((2, rep2), (3, rep3)) if rep.verdict}
             audit = audit_bounds(V, r_sidon=vouched)
             audit_checks += len(audit.checks)
             audit_violations += len(audit.violations)
@@ -379,11 +381,9 @@ def run_sample_f2_9(spec: ExperimentSpec) -> ExperimentReport:
     rng = np.random.default_rng((2, 9, 3, spec.seed))
     counts = {"two_sidon": 0, "three_sidon": 0}
     for _ in range(N):
-        V = random_subspace(ctx, 3, rng)
-        if is_r_sidon(V, 2).verdict:
-            counts["two_sidon"] += 1
-            if is_r_sidon(V, 3).verdict:
-                counts["three_sidon"] += 1
+        profile = r_sidon_profile(random_subspace(ctx, 3, rng), 3)
+        for prop, rep in zip(counts, profile):  # r = 2, then r = 3 if V is 2-Sidon
+            counts[prop] += rep.verdict
     rows = []
     for prop in ("two_sidon", "three_sidon"):
         low, high = SAMPLE_BANDS[prop]

@@ -602,8 +602,11 @@ def find_generator(
         seed: Search seed; results are deterministic per seed.
 
     Raises:
+        ValueError: If over_m is below 1 or does not divide n.
         NoSuchElementError: If none of 2^16 candidates qualifies.
     """
+    if over_m < 1:
+        raise ValueError(f"over_m must be at least 1, got {over_m}")
     if ctx.n % over_m:
         raise ValueError(f"over_m={over_m} does not divide n={ctx.n}")
     rng = np.random.default_rng((ctx.p, ctx.a, ctx.n, seed, 0x6E))

@@ -162,7 +162,7 @@ def semilinear_equivalent(
     pts = U.projective_points()
     chunk = max(1, 4096 // U.basis.shape[0])  # alpha * basis-row products per block
     for j in range(n_aut):
-        W = frob_image(V, j, p_power=True)
+        W = frob_image(V, j)
         cands = ctx.proj_canon(ctx.mul_many(pts, ctx.inv(W.basis[0])))
         hits = np.concatenate([
             ~U.reduce_rows(ctx.mul_many(cands[lo : lo + chunk, None], W.basis)).any(axis=(1, 2))
@@ -237,7 +237,7 @@ def verify_glk2_certificate(
     # independent subspace-level check
     Vf = v_f_gamma(f, gamma)
     Vg = v_f_gamma(g, xi)
-    moved = scale(frob_image(Vf, sigma, p_power=True), lam)
+    moved = scale(frob_image(Vf, sigma), lam)
     cond_spaces = moved == Vg
 
     if cond_pairs != cond_spaces:

@@ -129,14 +129,14 @@ class LinearizedPoly:
         return span(self.ctx, null @ B)
 
 
-def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):
-    """Whether a -> f(a)/a separates the projective points of F_{q^k}.
+def is_scattered(f: LinearizedPoly) -> tuple[bool, tuple[np.ndarray, np.ndarray] | None]:
+    """(ok, witness): whether a -> f(a)/a separates the projective points of F_{q^k}.
 
     Two arguments on the same F_q-line share the value f(a)/a, so the map
     descends to projective points; f is scattered exactly when it is
     injective there, which :func:`~sidonspace.sidon.first_collision` decides
-    with r = 1. A failure witness is a pair of independent arguments with
-    equal value (the witness is re-verified before returning).
+    with r = 1. The witness is None when f is scattered, else a pair (a, b)
+    of independent arguments with equal value, re-verified before returning.
     """
     ctx = f.ctx
     pts = subfield_space(ctx, f.k).projective_points()
@@ -144,12 +144,12 @@ def is_scattered(f: LinearizedPoly, *, return_witness: bool = False):
     vals = ctx.mul_many(f.evaluate_many(pts), ctx.pow_many(pts, ctx.q**f.k - 2))
     pair, _ = first_collision(pts.shape[0], 1, lambda idx: vals[idx[:, 0]])
     if pair is None:
-        return (True, None) if return_witness else True
+        return True, None
     a, b = (pts[i].copy() for (i,) in pair)
     fa, fb = f.evaluate_many(np.vstack([a, b]))
     assert (ctx.mul(fa, b) == ctx.mul(fb, a)).all()  # f(a)/a = f(b)/b, zero values included
     assert span(ctx, [a, b]).dim == 2
-    return (False, (a, b)) if return_witness else False
+    return False, (a, b)
 
 
 def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:

@@ -157,10 +157,9 @@ def scale(V: Subspace, alpha: FieldElement) -> Subspace:
     return Subspace(V.ctx, V.ctx.mul_many(V.basis, alpha.vec))
 
 
-def frob_image(V: Subspace, j: int = 1, *, p_power: bool = False) -> Subspace:
-    """Image of V under x -> x^(q^j) (or x -> x^(p^j) with p_power=True)."""
-    rows = V.ctx.frob_p(V.basis, j) if p_power else V.ctx.frob_q(V.basis, j)
-    return Subspace(V.ctx, rows)
+def frob_image(V: Subspace, j: int = 1) -> Subspace:
+    """Image of V under x -> x^(p^j); pass j = a*i for the q-power x -> x^(q^i)."""
+    return Subspace(V.ctx, V.ctx.frob_p(V.basis, j))
 
 
 def product(U: Subspace, V: Subspace) -> Subspace:

@@ -7,6 +7,7 @@ import pytest
 
 from sidonspace import cli, experiments
 from sidonspace.cli import build_parser, main
+from sidonspace.experiments import ExperimentSpec, run_experiment
 from sidonspace.field import MAX_DIM, field_from_spec
 
 
@@ -71,6 +72,14 @@ def test_construct_binomial_refuses_k_zero_before_the_exponent(capsys):
     code, out, err = run_cli(capsys, "construct", "binomial", "--q", "3", "--k", "0", "--t", "3")
     assert code == 64 and out == ""
     assert "a and n must be positive" in err
+
+
+def test_construct_binomial_refuses_s_sharing_a_factor_with_k(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "binomial", "--q", "2", "--k", "3", "--t", "3", "--s", "0"
+    )
+    assert code == 64 and out == ""
+    assert err == "error: gcd(s, k) must be 1, got s=0, k=3\n"
 
 
 def make_space_file(capsys, tmp_path, name, *argv):
@@ -308,44 +317,54 @@ def test_experiment_csv(capsys):
 
 
 def test_experiment_param_plumbing(capsys):
-    code, rep, _ = run_json(
-        capsys, "experiment", "sample-f2-9", "--param", "samples=120"
-    )
+    # the flags fill ExperimentSpec.params
+    code, rep, _ = run_json(capsys, "experiment", "sample-f2-9", "--samples", "120")
     assert code == 0
-    assert rep["params"]["seed"] == 0
-    code, out, err = run_cli(capsys, "experiment", "sample-f2-9", "--param", "nonsense")
-    assert code == 64
+    assert rep["params"]["seed"] == 0 and rep["params"]["samples"] == 120
+    code, rep, _ = run_json(
+        capsys, "experiment", "table2", "--limit", "1", "--budget", "100", "--seed", "3"
+    )
+    assert code == 2
+    assert (rep["params"]["limit"], rep["params"]["budget"], rep["params"]["seed"]) == (1, 100, 3)
     code, out, err = run_cli(capsys, "experiment", "no-such-table")
     assert code == 64
 
 
+# a library caller can pass any value; the CLI flags give only the last two
 @pytest.mark.parametrize(
-    "argv",
+    "name,params",
     [
-        ["table2", "--param", "limit=1.5"],
-        ["table2", "--param", "limit=true"],
-        ["table2", "--param", "budget=0"],
-        ["prop-trace-9", "--param", 'limit="x"'],
-        ["prop-trace-9", "--limit", "-1"],
-        ["sample-f2-9", "--param", "samples=2.5"],
-        ["sample-f2-9", "--samples", "0"],
+        ("table2", {"limit": 1.5}),
+        ("table2", {"limit": True}),
+        ("table2", {"budget": 0}),
+        ("prop-trace-9", {"limit": "x"}),
+        ("prop-trace-9", {"limit": -1}),
+        ("sample-f2-9", {"samples": 2.5}),
+        ("sample-f2-9", {"samples": 0}),
     ],
     ids=["float-limit", "bool-limit", "zero-budget", "string-limit", "negative-limit",
          "float-samples", "zero-samples"],
 )
-def test_experiment_counts_are_positive_integers(capsys, argv):
+def test_experiment_counts_are_positive_integers(name, params):
+    with pytest.raises(ValueError, match="must be"):
+        run_experiment(ExperimentSpec(name, params))
+
+
+@pytest.mark.parametrize(
+    "argv", [["prop-trace-9", "--limit", "-1"], ["sample-f2-9", "--samples", "0"]],
+    ids=["negative-limit", "zero-samples"],
+)
+def test_experiment_count_flags_below_one_are_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "experiment", *argv)
     assert code == 64
     assert out == ""
-    assert "must be" in err
+    assert "must be at least 1" in err
 
 
-@pytest.mark.parametrize("value", ['"no"', "no", "1", "null"])
-def test_experiment_collect_audits_is_a_json_boolean(capsys, value):
-    code, out, err = run_cli(capsys, "experiment", "prop-f26", "--param", f"collect_audits={value}")
-    assert code == 64
-    assert out == ""
-    assert "collect_audits must be true or false" in err
+@pytest.mark.parametrize("value", ["no", 1, None], ids=['"no"', "1", "null"])
+def test_experiment_collect_audits_is_a_json_boolean(value):
+    with pytest.raises(ValueError, match="collect_audits must be true or false"):
+        run_experiment(ExperimentSpec("prop-f26", {"collect_audits": value}))
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):
@@ -366,6 +385,13 @@ def test_check_rejects_rows_of_the_wrong_width(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(f))
     assert code == 64
     assert "length 2, expected 3" in err
+
+
+@pytest.mark.parametrize("over", ["0", "-3"])
+def test_field_over_below_one_is_a_usage_error(capsys, over):
+    code, out, err = run_cli(capsys, "field", "2", "9", "--over", over)
+    assert code == 64 and out == ""
+    assert err == f"error: over_m must be at least 1, got {over}\n"
 
 
 def test_field_rejects_a_large_characteristic(capsys):
@@ -409,7 +435,7 @@ OPTIONS = {
     "equiv": "--budget --out",
     "brset verify": "--budget --out",
     "brset extract": "--assume-r-sidon --budget --gamma --no-translate --out --r --seed",
-    "experiment": "--budget --collect-audits --format --limit --out --param --samples --seed",
+    "experiment": "--budget --collect-audits --format --limit --out --samples --seed",
 }
 
 
@@ -427,7 +453,7 @@ def _leaf_options(parser, command=""):
 
 def test_each_command_declares_only_the_options_it_reads():
     assert _leaf_options(build_parser()) == OPTIONS
-    assert sum(len(opts.split()) for opts in OPTIONS.values()) == 61
+    assert sum(len(opts.split()) for opts in OPTIONS.values()) == 60
 
 
 @pytest.mark.parametrize(
@@ -448,10 +474,13 @@ def test_each_command_declares_only_the_options_it_reads():
         ["construct", "monomial", "--q", "2", "--k", "3", "--t", "3", "--r", "2", "--se", "1"],
         ["experiment", "table2", "--lim", "1"],
         ["brset", "extract", "x.json", "--no-trans"],
+        # the flags are the one way to set an experiment's parameters
+        ["experiment", "table2", "--limit", "1", "--param", "limit=1"],
     ],
     ids=["orbit-budget", "span-seed", "check-seed", "equiv-seed", "field-budget",
          "trace-r", "maxspan-brset-k", "verify-r", "verify-gamma", "span-format",
-         "abbrev-span-s", "abbrev-monomial-se", "abbrev-experiment-lim", "abbrev-extract-no-trans"],
+         "abbrev-span-s", "abbrev-monomial-se", "abbrev-experiment-lim", "abbrev-extract-no-trans",
+         "experiment-param"],
 )
 def test_an_option_the_command_does_not_read_is_refused(capsys, argv):
     with pytest.raises(SystemExit) as ei:
@@ -488,9 +517,8 @@ def _no_field(*args, **kwargs):
         (["sample-f2-9", "--collect-audits"], "collect_audits"),
         (["brset-316", "--budget", "10"], "budget"),
         (["table2", "--samples", "3"], "samples"),
-        (["table3", "--param", "foo=1"], "foo"),
     ],
-    ids=["prop-f26-limit", "sample-audits", "brset-316-budget", "table2-samples", "table3-foo"],
+    ids=["prop-f26-limit", "sample-audits", "brset-316-budget", "table2-samples"],
 )
 def test_experiment_refuses_a_parameter_it_does_not_read(capsys, monkeypatch, argv, key):
     monkeypatch.setattr(experiments, "make_field", _no_field)
@@ -499,38 +527,10 @@ def test_experiment_refuses_a_parameter_it_does_not_read(capsys, monkeypatch, ar
     assert "does not read" in err and repr(key) in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["table2", "--param", "budget=5", "--budget", "100000"],
-        ["table2", "--param", "limit=5", "--limit", "1"],
-        ["sample-f2-9", "--param", "samples=100", "--samples", "120"],
-        ["prop-f26", "--param", "collect_audits=true", "--collect-audits"],
-    ],
-    ids=["budget", "limit", "samples", "collect-audits"],
-)
-def test_a_parameter_given_by_flag_and_by_param_is_refused(capsys, monkeypatch, argv):
+def test_run_experiment_refuses_a_key_it_does_not_read(monkeypatch):
     monkeypatch.setattr(experiments, "make_field", _no_field)
-    code, out, err = run_cli(capsys, "experiment", *argv)
-    assert code == 64 and out == ""
-    assert "given both" in err
-
-
-@pytest.mark.parametrize(
-    "argv,key",
-    [
-        (["table2", "--param", "budget=5", "--param", "budget=100000000", "--limit", "1"], "budget"),
-        (["prop-f26", "--param", "collect_audits=true", "--param", "collect_audits=false"],
-         "collect_audits"),
-        (["table3", "--param", "foo=1", "--param", "foo=1"], "foo"),
-    ],
-    ids=["budget", "collect-audits", "unread-key"],
-)
-def test_a_repeated_param_key_is_refused(capsys, monkeypatch, argv, key):
-    monkeypatch.setattr(experiments, "make_field", _no_field)
-    code, out, err = run_cli(capsys, "experiment", *argv)
-    assert code == 64 and out == ""
-    assert "more than once" in err and repr(key) in err
+    with pytest.raises(ValueError, match="does not read 'foo'"):
+        run_experiment(ExperimentSpec("table3", {"foo": 1}))
 
 
 def test_parser_level_errors_use_64(capsys, tmp_path):

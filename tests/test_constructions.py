@@ -5,6 +5,8 @@ import pytest
 
 from sidonspace.constructions import (
     F7_EXAMPLE_QUADRATICS,
+    admissible_deltas,
+    binomial_exponent,
     binomial_family,
     is_qm1_power,
     maxspan_from_brset,
@@ -17,6 +19,7 @@ from sidonspace.constructions import (
 from sidonspace.errors import ConstructionError, NoSuchElementError
 from sidonspace.field import make_field, find_generator, prime_ctx
 from sidonspace.gfpoly import Poly
+from sidonspace.qpoly import LinearizedPoly, v_f_gamma
 from sidonspace.sidon import is_r_sidon, is_sidon_intersection
 from sidonspace.subspace import power
 
@@ -119,6 +122,24 @@ def test_binomial_rejections():
         binomial_family(3, 4, 1, 3, "end", delta=bad)
     with pytest.raises(NoSuchElementError):
         binomial_family(2, 4, 1, 3, "end")  # over F_2 every delta has norm 1
+
+
+@pytest.mark.parametrize(
+    "q,k,s,variant",
+    [(2, 3, 0, "mid"), (2, 4, 2, "mid"), (2, 5, 5, "end"), (3, 3, 3, "end"), (3, 4, 2, "end"),
+     (3, 2, 0, "mid")],
+)
+def test_binomial_refuses_s_sharing_a_factor_with_k(q, k, s, variant):
+    with pytest.raises(ConstructionError, match=rf"gcd\(s, k\) must be 1, got s={s}, k={k}"):
+        binomial_family(q, k, s, 3, variant)
+    # the graph space such a build returned with a Sidon claim has a product collision
+    ctx = make_field(q, 1, 3 * k)
+    deltas = ctx.subfield_elements(k)
+    delta = deltas[admissible_deltas(ctx, deltas, k, variant)][0]
+    f = LinearizedPoly.from_terms(ctx, k, {s: 1, binomial_exponent(variant, s, k): delta})
+    V = v_f_gamma(f, find_generator(ctx, over_m=k))
+    assert V.dim == k
+    assert not is_r_sidon(V, 2).verdict
 
 
 def test_binomial_even_k_end_claims_nothing_without_norm():

@@ -118,7 +118,7 @@ def _sweep_records() -> list[dict]:
                 alpha = ctx.random_element(rng)
                 while alpha.is_zero():
                     alpha = ctx.random_element(rng)
-                beta, j = semilinear_equivalent(V, frob_image(scale(V, alpha), seed + 1, p_power=True))
+                beta, j = semilinear_equivalent(V, frob_image(scale(V, alpha), seed + 1))
                 records.append({
                     "field": [p, a, n], "k": k, "seed": seed,
                     "intersection": is_sidon_intersection(V).to_dict(),

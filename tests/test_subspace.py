@@ -112,12 +112,14 @@ def test_frob_image_properties():
     assert frob_image(V, 6) == V
 
 
-def test_frob_image_p_power_flag():
+def test_frob_image_of_a_times_j_is_the_q_power_image():
     ctx = make_field(2, 2, 3)
     V = random_subspace(ctx, 2, np.random.default_rng(3))
-    # one q-step is a = 2 p-steps
-    assert frob_image(V, 1) == frob_image(V, 2, p_power=True)
-    assert frob_image(V, 3, p_power=True) == frob_image(frob_image(V, 1), 1, p_power=True)
+    for j in range(ctx.n + 1):
+        assert frob_image(V, ctx.a * j) == Subspace(ctx, ctx.frob_q(V.basis, j))
+    # one p-step is not a q-step when a > 1
+    assert frob_image(V, 1) != Subspace(ctx, ctx.frob_q(V.basis, 1))
+    assert frob_image(V, 3) == frob_image(frob_image(V, 2), 1)
 
 
 def test_product_small_oracle():
@@ -230,7 +232,7 @@ def test_span_chain_is_invariant_under_scaling_and_frobenius(field, k, s_max, j,
     cap = s_max or ctx.n + 1
     padded = lambda c: c.dims + c.dims[-1:] * (cap - len(c.dims))
     assert padded(span_chain(scale(V, alpha), s_max=s_max)) == padded(ch)
-    for W in (frob_image(V, j), frob_image(V, j, p_power=True)):
+    for W in (frob_image(V, ctx.a * j), frob_image(V, j)):
         img = span_chain(W, s_max=s_max)
         assert img.dims == ch.dims
         assert (img.t, img.t_bar, img.truncated) == (ch.t, ch.t_bar, ch.truncated)
@@ -300,8 +302,8 @@ def test_stabilizer_matches_its_definition(field, linear, pick, j, seed):
     alpha = ctx.random_element(rng)
     if not alpha.is_zero():
         assert stabilizer(scale(V, alpha)) == h
+    assert stabilizer(frob_image(V, ctx.a * j)) == h
     assert stabilizer(frob_image(V, j)) == h
-    assert stabilizer(frob_image(V, j, p_power=True)) == h
 
 
 def test_stabilizer_and_orbit_size():
