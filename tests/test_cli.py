@@ -330,7 +330,7 @@ def test_experiment_param_plumbing(capsys):
     assert code == 64
 
 
-# a library caller can pass any value; the CLI flags give only the last two
+# a library caller can pass any value; of these, flags give only negative-limit and zero-samples
 @pytest.mark.parametrize(
     "name,params",
     [
