@@ -1,7 +1,8 @@
 """Golden report digests: every experiment at quick-suite settings.
 
 Each entry pins two sha256 digests of one ``run_experiment(...)`` report at
-seed 0: of ``to_json()``, and of ``to_csv()``. The JSON is written with
+seed 0: of ``to_json()``, and of ``to_csv()``. The tables are pinned at
+seeds 1 and 2 as well, since the seed picks each row's gamma. The JSON is written with
 sorted keys, so only the CSV header sees the order in which a row's keys
 were inserted. A change to the arithmetic, the row reduction or the enumeration order of
 deltas and gammas that alters any report shows up here as a mismatch.
@@ -49,6 +50,18 @@ GOLDEN = [
      "d002d5f4704484774b57c6e06015031f9bb92a15b59c5b1dcd7496a1941a162f"),
 ]
 
+# (name, seed, json digest, csv digest) of the tables at limit 2: gamma depends on the seed
+GOLDEN_SEEDS = [
+    ("table2", 1, "4df1c4c60334cc2689950bf1e8000bcf681bbebcd767cf6a478ebb78ca54f1ed",
+     "19bc97b4b2f0668becbf52bf4114829d2e17755b376d7dcf9a267a69d3a41025"),
+    ("table2", 2, "65d5651e22f8c4d829f6095fda63747b84264402d2863eba99cf38f89455c9dd",
+     "70bef5411eb451286586e01de8f377614640f80b4ee2be9f271082a0c3777f5e"),
+    ("table3", 1, "f30373149f60094c64fd35865f772919e8e6685fe1d5210eeaf31b35e40842da",
+     "9ac4a0ae1e5c1e8c43d6dc7a7e10e711d5bcc74c3e8cd742864b1478c5b5d361"),
+    ("table3", 2, "af9c474eb0972a9f6101ceeeff077801e86adfe82468a75ca7a9c7b4c1f69f1a",
+     "db39a9cb581fe5d16db81ebf2fdb49012d859f5f899c1f7254ef922b39b2243b"),
+]
+
 # (p, n) -> modulus of make_field(p, 1, n) at seed 0, little-endian digits
 MODULI = {
     (2, 24): "1010011000010110001011111",
@@ -81,6 +94,15 @@ MODULI = {
 )
 def test_report_digest(name, params, json_digest, csv_digest):
     report = run_experiment(ExperimentSpec(name, params, seed=0))
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_digest
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_digest
+
+
+@pytest.mark.parametrize(
+    "name,seed,json_digest,csv_digest", GOLDEN_SEEDS, ids=[f"{name}-seed{seed}" for name, seed, *_ in GOLDEN_SEEDS]
+)
+def test_table_digest_at_other_seeds(name, seed, json_digest, csv_digest):
+    report = run_experiment(ExperimentSpec(name, {"limit": 2}, seed=seed))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_digest
     assert hashlib.sha256(report.to_csv().encode()).hexdigest() == csv_digest
 
