@@ -42,6 +42,11 @@ class BrSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BrSet":
+        known = ("elements", "r", "modulus", "verified")
+        bad = [f"missing key {key!r}" for key in known[:2] if key not in d]
+        bad += [f"unknown key {key!r}" for key in d if key not in known]
+        if bad:
+            raise ValueError(f"a B_r-set takes {', '.join(known)}, the first two required: {', '.join(bad)}")
         verified = d.get("verified", False)
         if not isinstance(verified, bool):
             raise ValueError(f"verified must be true or false, got {verified!r}")

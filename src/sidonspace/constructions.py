@@ -32,7 +32,7 @@ from .field import (
     split_prime_power,
 )
 from .linalg import rank
-from .qpoly import LinearizedPoly, is_scattered, v_f_gamma
+from .qpoly import LinearizedPoly, graph_bases, is_scattered, v_f_gamma
 from .subspace import (
     Subspace,
     intersection_dims_with_scaled,
@@ -266,12 +266,9 @@ def binomial_family(
             raise ConstructionError(
                 "end variant with even k requires the norm of delta to differ from 1"
             )
-    if gamma is None:
-        gamma_el = find_generator(ctx, over_m=k, seed=seed)
-    else:
-        gamma_el = ctx.element(gamma)
-    f = LinearizedPoly.from_terms(ctx, k, {s: 1, e2: delta_el})
-    V = v_f_gamma(f, gamma_el)
+    gamma_el = find_generator(ctx, over_m=k, seed=seed) if gamma is None else ctx.element(gamma)
+    Fs, Fe = binomial_images(ctx, k, s, variant)
+    V = Subspace(ctx, graph_bases(ctx, k, (Fs + ctx.mul_many(Fe, delta_el.vec)) % p, gamma_el.vec))
     if V.dim != k:
         raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
     claims = {"dim": k}
@@ -292,6 +289,13 @@ def binomial_exponent(variant: str, s: int, k: int) -> int:
     if variant not in ("mid", "end"):
         raise ValueError(f"variant must be 'mid' or 'end', got {variant!r}")
     return (2 * s if variant == "mid" else s * (k - 1)) % k
+
+
+def binomial_images(ctx: FieldCtx, k: int, s: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Fs, Fe): the images of x^(q^s) and x^(q^e2) on the F_p-basis of F_{q^k}, e2 from
+    :func:`binomial_exponent`; f = x^(q^s) + delta x^(q^e2) maps that basis to Fs + delta Fe."""
+    e2 = binomial_exponent(variant, s, k)
+    return tuple(LinearizedPoly.monomial(ctx, k, e).matrix_on_subfield() for e in (s, e2))
 
 
 def admissible_deltas(ctx: FieldCtx, deltas: np.ndarray, k: int, variant: str) -> np.ndarray:

@@ -5,9 +5,9 @@ choices, and emits one row per parameter tuple carrying expected value,
 computed value, and a verdict. Reports embed every choice (field spec,
 seeds, generators) so a rerun with the same spec is byte-identical.
 
-The graph-space sweeps define no family of their own: table2 ("mid") and
-table3 ("end") take ``binomial_family``'s exponent and delta rule, and
-prop-f26 and prop-trace-9 take f(B) from ``LinearizedPoly``.
+The graph-space sweeps define no family of their own: ``graph_bases`` builds each basis
+from f(B), taken from ``binomial_images`` by the tables and from ``LinearizedPoly`` by
+prop-f26 and prop-trace-9; the tables take their deltas from ``admissible_deltas``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brset import extract_brset
-from .constructions import admissible_deltas, binomial_exponent, binomial_family
+from .constructions import admissible_deltas, binomial_family, binomial_images
 from .errors import int_scalar
 from .field import DiscreteLogTable, find_generator, make_field
-from .qpoly import LinearizedPoly
+from .qpoly import LinearizedPoly, graph_bases
 from .sidon import audit_bounds, max_span_bound, r_sidon_profile
-from .subspace import random_subspace, span, span_levels
+from .subspace import Subspace, random_subspace, span_levels
 
 
 def _json_default(o):
@@ -198,9 +198,8 @@ def _graph_table(
             continue
         ctx = make_field(q, 1, n)
         gamma = find_generator(ctx, over_m=k, seed=spec.seed)
-        B = ctx.subfield_fp_basis(k)
-        R1 = ctx.mul_many(ctx.frob_q(B, s % k), gamma.vec)
-        R2 = ctx.mul_many(ctx.frob_q(B, binomial_exponent(variant, s, k)), gamma.vec)
+        Fs, Fe = binomial_images(ctx, k, s, variant)
+        G0, G1 = graph_bases(ctx, k, Fs, gamma.vec), ctx.mul_many(Fe, gamma.vec)  # V_d = G0 + d G1
         deltas = ctx.subfield_elements(k)
         deltas = deltas[admissible_deltas(ctx, deltas, k, variant)]
 
@@ -208,11 +207,8 @@ def _graph_table(
         cap_violations = 0
         first_chain: list[int] | None = None
         for dv in deltas:
-            basis = (B + R1 + ctx.mul_many(dv, R2)) % ctx.p
-            V = span(ctx, basis)
-            if V.dim != k:
-                dims_seen[-1] += 1
-                continue
+            V = Subspace(ctx, (G0 + ctx.mul_many(dv, G1)) % ctx.p)
+            assert V.dim == k, "graph space lost dimension"
             dims = [lv.dim for lv in span_levels(V, r)]
             for lvl, d in enumerate(dims, start=1):
                 if d > max_span_bound(n, k, lvl):
@@ -279,7 +275,6 @@ def _gamma_sweep(f: LinearizedPoly, family: str, collect, audits, **extra) -> di
     after the counts, before the first non-2-Sidon witness.
     """
     ctx, k = f.ctx, f.k
-    B = ctx.subfield_fp_basis(k)
     FB = f.matrix_on_subfield()
     gammas = ctx.subfield_elements(ctx.n)
     gammas = gammas[~np.asarray(ctx.in_subfield(gammas, k))]
@@ -288,8 +283,7 @@ def _gamma_sweep(f: LinearizedPoly, family: str, collect, audits, **extra) -> di
     audit_violations = 0
     audit_checks = 0
     for gv in gammas:
-        rows = (B + ctx.mul_many(gv, FB)) % ctx.p
-        V = span(ctx, rows)
+        V = Subspace(ctx, graph_bases(ctx, k, FB, gv))
         assert V.dim == k, "graph space lost dimension"
         profile = r_sidon_profile(V, 3)
         vouched = {rep.r: "measured:products" for rep in profile if rep.verdict}

@@ -40,7 +40,8 @@ class LinearizedPoly:
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx, k: int, terms: dict[int, object]) -> "LinearizedPoly":
-        """Build from {q-exponent: coefficient}; exponents folded mod k."""
+        """Build from {q-exponent: coefficient}; exponents folded mod k, colliding ones added.
+        A dict holds each exponent once: add polynomials (``+``) for two terms of one exponent."""
         c = np.zeros((k, ctx.dim), dtype=np.int64)
         for e, coeff in terms.items():
             c[e % k] += ctx.element(coeff).vec
@@ -152,13 +153,16 @@ def is_scattered(f: LinearizedPoly) -> tuple[bool, tuple[np.ndarray, np.ndarray]
     return False, (a, b)
 
 
+def graph_bases(ctx: FieldCtx, k: int, images: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Rows u + f(u) gamma for u in the F_p-basis of F_{q^k}, given images = f(basis);
+    leading shapes of ``images`` and ``gamma`` broadcast as in :meth:`FieldCtx.mul_many`."""
+    return (ctx.subfield_fp_basis(k) + ctx.mul_many(images, gamma)) % ctx.p
+
+
 def v_f_gamma(f: LinearizedPoly, gamma: FieldElement) -> Subspace:
     """The graph-style subspace {u + f(u) * gamma : u in F_{q^k}}."""
     ctx = f.ctx
-    B = ctx.subfield_fp_basis(f.k)
-    img = f.evaluate_many(B)
-    rows = (B + ctx.mul_many(img, ctx.element(gamma).vec)) % ctx.p
-    return Subspace(ctx, rows)
+    return Subspace(ctx, graph_bases(ctx, f.k, f.matrix_on_subfield(), ctx.element(gamma).vec))
 
 
 def interpolate(ctx: FieldCtx, k: int, pairs: list[tuple]) -> LinearizedPoly:

@@ -197,17 +197,15 @@ def is_max_span(V: Subspace, r: int) -> tuple[bool, int, int]:
     return d == bound, d, bound
 
 
-def r_sidon_profile(
-    V: Subspace, r_max: int, *, budget: int = DEFAULT_BUDGET
-) -> list[SidonReport]:
+def r_sidon_profile(V: Subspace, r_max: int) -> list[SidonReport]:
     """Reports for r = 2, 3, ... up to the first failure (or r_max).
 
     The property is closed downward in r, so stopping at the first failing
-    order loses nothing.
+    order loses nothing. Each order runs under the default budget.
     """
     out = []
     for r in range(2, r_max + 1):
-        rep = is_r_sidon(V, r, budget=budget)
+        rep = is_r_sidon(V, r)
         out.append(rep)
         if not rep.verdict:
             break

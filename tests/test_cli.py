@@ -250,6 +250,9 @@ def test_brset_extract(capsys, tmp_path):
     assert saved == bs  # --out keeps only the bare set
     code2, rep2, _ = run_json(capsys, "brset", "verify", str(out))
     assert code2 == 0
+    report = tmp_path / "report.json"  # the whole report is read through its 'brset' member
+    report.write_text(json.dumps(rep))
+    assert run_json(capsys, "brset", "verify", str(report))[:2] == (code2, rep2)
 
 
 def test_brset_extract_rejects_non_sidon(capsys, tmp_path):
@@ -591,13 +594,16 @@ F2_3 = {"p": 2, "n": 3}
         (["orbit", "FILE"], {"field": {"p": 2, "n": 3, "degree": 5}, "basis": [[1, 0, 0]]},
          "unknown keys: degree"),
         (["span", "FILE"], {"field": {"n": 3}, "basis": [[1, 0, 0]]}, "needs 'p'"),
+        (["brset", "verify", "FILE"], {"elements": [0, 1, 3]}, "missing key 'r'"),
+        (["brset", "verify", "FILE"], {"r": 2}, "missing key 'elements'"),
+        (["brset", "verify", "FILE"], {"elements": [0, 1, 2, 4], "r": 2, "modulo": 5}, "unknown key 'modulo'"),
     ],
     ids=["dict-entry", "scalar-basis", "float-entry", "bool-entry", "float-extract",
          "float-element", "scalar-elements", "dict-element", "not-fq-closed", "long-gamma",
          "float-n", "float-q", "float-n-of-q", "float-modulus-entry", "bool-seed", "scalar-field",
          "scalar-file", "list-space", "float-r", "float-modulus", "list-file", "scalar-brset",
          "string-verified", "field-p-and-q", "field-q-and-a", "field-unknown-key",
-         "field-neither-p-nor-q"],
+         "field-neither-p-nor-q", "brset-missing-r", "brset-missing-elements", "brset-unknown-key"],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, content, message):
     f = tmp_path / "bad.json"

@@ -6,8 +6,8 @@ import pytest
 from sidonspace.constructions import (
     F7_EXAMPLE_QUADRATICS,
     admissible_deltas,
-    binomial_exponent,
     binomial_family,
+    binomial_images,
     is_qm1_power,
     maxspan_from_brset,
     maxspan_from_irreducibles,
@@ -19,9 +19,9 @@ from sidonspace.constructions import (
 from sidonspace.errors import ConstructionError, NoSuchElementError
 from sidonspace.field import make_field, find_generator, prime_ctx
 from sidonspace.gfpoly import Poly
-from sidonspace.qpoly import LinearizedPoly, v_f_gamma
+from sidonspace.qpoly import LinearizedPoly, graph_bases, v_f_gamma
 from sidonspace.sidon import is_r_sidon, is_sidon_intersection
-from sidonspace.subspace import power
+from sidonspace.subspace import Subspace, power
 
 
 def test_monomial_record_shape():
@@ -136,10 +136,42 @@ def test_binomial_refuses_s_sharing_a_factor_with_k(q, k, s, variant):
     ctx = make_field(q, 1, 3 * k)
     deltas = ctx.subfield_elements(k)
     delta = deltas[admissible_deltas(ctx, deltas, k, variant)][0]
-    f = LinearizedPoly.from_terms(ctx, k, {s: 1, binomial_exponent(variant, s, k): delta})
-    V = v_f_gamma(f, find_generator(ctx, over_m=k))
+    Fs, Fe = binomial_images(ctx, k, s, variant)
+    gamma = find_generator(ctx, over_m=k)
+    V = Subspace(ctx, graph_bases(ctx, k, (Fs + ctx.mul_many(Fe, delta)) % ctx.p, gamma.vec))
     assert V.dim == k
     assert not is_r_sidon(V, 2).verdict
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("q", [3, 5])
+def test_binomial_end_at_k2_keeps_both_terms(q, seed):
+    # k = 2, s = 1: the second exponent s(k - 1) equals s, and f = x^q + delta x^q
+    rec = binomial_family(q, 2, 1, 3, "end", seed=seed)
+    assert rec.params["exp2"] == 1
+    ctx = rec.space.ctx
+    delta, gamma = (ctx.element(rec.chosen[key]) for key in ("delta", "gamma"))
+    x = LinearizedPoly.monomial(ctx, 2, 1)
+    assert rec.space == v_f_gamma(x + x.scale(delta), gamma)
+    assert rec.space != v_f_gamma(x.scale(delta), gamma)
+    assert rec.claims["sidon"]["value"]
+    assert is_r_sidon(rec.space, 2).verdict
+    assert is_sidon_intersection(rec.space).verdict
+
+
+@pytest.mark.parametrize("q,k,t,variant", [(3, 2, 3, "end"), (3, 4, 2, "end"), (2, 3, 3, "mid")])
+def test_table_basis_is_affine_in_delta(q, k, t, variant):
+    # the tables build V_delta as G0 + delta G1; binomial_family builds it from f(B)
+    ctx = make_field(q, 1, k * t)
+    gamma = find_generator(ctx, over_m=k)
+    Fs, Fe = binomial_images(ctx, k, 1, variant)
+    G0, G1 = graph_bases(ctx, k, Fs, gamma.vec), ctx.mul_many(Fe, gamma.vec)
+    deltas = ctx.subfield_elements(k)
+    deltas = deltas[admissible_deltas(ctx, deltas, k, variant)]
+    assert deltas.shape[0] > 1
+    for dv in deltas:
+        V = Subspace(ctx, (G0 + ctx.mul_many(dv, G1)) % ctx.p)
+        assert V == binomial_family(q, k, 1, t, variant, delta=dv, gamma=gamma).space
 
 
 def test_binomial_even_k_end_claims_nothing_without_norm():

@@ -3,8 +3,8 @@ import pytest
 
 from sidonspace.errors import NoSuchElementError
 from sidonspace.field import FieldElement, find_generator, make_field, norm
-from sidonspace.qpoly import LinearizedPoly, interpolate, is_scattered, v_f_gamma
-from sidonspace.subspace import span, subfield_space
+from sidonspace.qpoly import LinearizedPoly, graph_bases, interpolate, is_scattered, v_f_gamma
+from sidonspace.subspace import Subspace, span, subfield_space
 
 
 def test_exponents_fold_modulo_k():
@@ -159,6 +159,19 @@ def test_v_f_gamma_is_the_graph_space():
     for u in subfield_space(ctx, 3).elements():
         e = FieldElement(ctx, u)
         assert V.contains((e + f.evaluate(e) * gamma).vec)
+
+
+def test_graph_bases_broadcast_over_gammas():
+    ctx = make_field(3, 1, 6)
+    f = LinearizedPoly.trace_poly(ctx, 2)
+    FB = f.matrix_on_subfield()
+    gammas = ctx.subfield_elements(6)[::97]
+    stacked = graph_bases(ctx, 2, FB, gammas[:, None, :])
+    assert stacked.shape == (gammas.shape[0], 2, ctx.dim)
+    for rows, gv in zip(stacked, gammas):
+        assert (rows == graph_bases(ctx, 2, FB, gv)).all()
+        if not ctx.in_subfield(gv, 2):
+            assert Subspace(ctx, rows) == v_f_gamma(f, FieldElement(ctx, gv))
 
 
 def test_interpolate_round_trip():
