@@ -11,7 +11,9 @@ F_7^61 are pinned too, so a change to the modulus search that keeps the
 reports but moves a field's representation is caught as well. One more
 digest pins the alpha sweeps: the intersection verdict, the orbit report
 and the semilinear equivalence search on seeded spaces, and the trace
-construction, which re-measures its subfield intersections.
+construction, which re-measures its subfield intersections. The
+construction records of every builder are pinned at seeds 0 and 1, each as
+the digest of ``report_json(rec.to_dict())``.
 """
 
 import hashlib
@@ -20,8 +22,21 @@ import json
 import numpy as np
 import pytest
 
-from sidonspace.constructions import trace_space
-from sidonspace.experiments import TABLE2_ROWS, TABLE3_ROWS, ExperimentSpec, run_experiment
+from sidonspace.constructions import (
+    F7_EXAMPLE_QUADRATICS,
+    binomial_family,
+    maxspan_from_brset,
+    maxspan_from_irreducibles,
+    monomial,
+    trace_space,
+)
+from sidonspace.experiments import (
+    TABLE2_ROWS,
+    TABLE3_ROWS,
+    ExperimentSpec,
+    report_json,
+    run_experiment,
+)
 from sidonspace.field import make_field
 from sidonspace.orbit import orbit_report, semilinear_equivalent
 from sidonspace.sidon import is_sidon_intersection
@@ -60,6 +75,58 @@ GOLDEN_SEEDS = [
      "9ac4a0ae1e5c1e8c43d6dc7a7e10e711d5bcc74c3e8cd742864b1478c5b5d361"),
     ("table3", 2, "af9c474eb0972a9f6101ceeeff077801e86adfe82468a75ca7a9c7b4c1f69f1a",
      "db39a9cb581fe5d16db81ebf2fdb49012d859f5f899c1f7254ef922b39b2243b"),
+]
+
+# id -> (builder, args, keyword args) of the records pinned below
+CONSTRUCTIONS = {
+    "monomial": (monomial, (2, 3, 1, 3, 2), {}),
+    "monomial-t-eq-r": (monomial, (3, 3, 1, 2, 2), {}),
+    "binomial-mid": (binomial_family, (2, 3, 1, 3, "mid"), {}),
+    "binomial-end": (binomial_family, (3, 3, 1, 3, "end"), {}),
+    "binomial-end-k2": (binomial_family, (3, 2, 1, 3, "end"), {}),
+    "binomial-given-delta": (binomial_family, (3, 3, 1, 3, "mid"), {"delta": 2}),
+    "trace-q2": (trace_space, (2, 3, 3), {}),
+    "trace-q3": (trace_space, (3, 3, 2), {}),
+    "trace-q4": (trace_space, (4, 2, 3), {}),
+    "maxspan-brset": (maxspan_from_brset, ([0, 1, 3], 2, 2, 7), {}),
+    "maxspan-irreducibles-q2": (maxspan_from_irreducibles, (2, 3, 2), {}),
+    "maxspan-irreducibles-q3": (maxspan_from_irreducibles, (3, 3, 2), {}),
+    "maxspan-irreducibles-q4": (maxspan_from_irreducibles, (4, 3, 2), {}),
+    "maxspan-irreducibles-f7": (
+        maxspan_from_irreducibles, (7, 4, 3), {"irreducibles": F7_EXAMPLE_QUADRATICS}
+    ),
+}
+
+# (id, seed, digest of report_json(rec.to_dict()))
+CONSTRUCTION_DIGESTS = [
+    ("monomial", 0, "0e8e783459b6bcd04fc73d449c9df9d4793fc948a905c65d10878e934abda785"),
+    ("monomial", 1, "1c87e7b9c67e950e9b8aee72b1c392de4af45b9eb8572d5d980c95fb15d6f0e4"),
+    ("monomial-t-eq-r", 0, "06feed6603e034a28133e0f3b8aafd02d602749cfd332513afc7bd7fa147041e"),
+    ("monomial-t-eq-r", 1, "5111b39bf240639f6f50a493ba2ce3efbb777c5e8105cb4d8f77410e80edb4ff"),
+    ("binomial-mid", 0, "3c0c6422368b9251970dea29ca9db40c0f775613cb64c7b524a5e58b2481877f"),
+    ("binomial-mid", 1, "9c865bf8ecc840116812dcbb894c0252cab76b2f34c9a4c9e9f638bbc67630e3"),
+    ("binomial-end", 0, "1b39acb49afee3cdc1efe644ea08b5bc2d8a6c2cee7282e9b9ba8d915a1e88f1"),
+    ("binomial-end", 1, "a11c41661ec40af35e03492919059ee90421d4c5479cffcba9ec3bbb26416165"),
+    ("binomial-end-k2", 0, "71cefe59d8f84886f234c24b5e37388b124d6b59b2161db771feb3fc553e7493"),
+    ("binomial-end-k2", 1, "abbc0012a790329d3ce6a9fa2817898761c3963b18d359814aa2539832018625"),
+    ("binomial-given-delta", 0, "3873490a87d0fb8b1bb53d707c5a9672a8fc40258d4804ef1ab724a5e5ef2714"),
+    ("binomial-given-delta", 1, "871b56f783b6caa13aa6dde6939e4469a13d8ad1003171a864fe222d6e2f0b8d"),
+    ("trace-q2", 0, "6f9cfd307c7db80355180129b4beb30b813537c5e4c3ab77d57e511dc4d6f0d4"),
+    ("trace-q2", 1, "c785a259bc2b659ced39eb473cc3659778efecb09939b8ced4488ab1f6ce2059"),
+    ("trace-q3", 0, "8579919070699b210ba26bbcaae975733061b8c41b85ec7b49c5e7eaabb94f0a"),
+    ("trace-q3", 1, "7d4302a030e251989f2528895e7de1f48eda565124b9c06751dbf770daa31fa0"),
+    ("trace-q4", 0, "bf0a858707f32634fc33de6e3254f3b845487d2691578d2cde0057f574fe4a56"),
+    ("trace-q4", 1, "f78afe42f4caa451316f1de509810fc9314370cd4717dc626cf30a7ba399e235"),
+    ("maxspan-brset", 0, "3186f35bf234a8913bfbf36f399c72f8ad8e3a25ac6e486e35a877daceec6dbf"),
+    ("maxspan-brset", 1, "8c9e01480c8e69cd13aefc8d0fa8ffc0024fcac9bd21306911ab8923f2be1a9d"),
+    ("maxspan-irreducibles-q2", 0, "97fa669616906eca4dd8593d909fed0285dc5220c37bcc579b5e4beb7b3c9a2c"),
+    ("maxspan-irreducibles-q2", 1, "5a7cfc969e732c9501dfc876a0838481184446c7aeb12d6ca236115ea9932583"),
+    ("maxspan-irreducibles-q3", 0, "701a7b103046c49fedfab1911a1534ff1ceccd70cfa7f8fa940d53f53c87472a"),
+    ("maxspan-irreducibles-q3", 1, "d9ba8e4272232a7df4aaaa7176bfc993e8604b8bc4276ac39ed98ec68a56afb8"),
+    ("maxspan-irreducibles-q4", 0, "fc9235e37c78da983c7913f4410f1f6dbfec65599e950b9fb0aed22789f3395d"),
+    ("maxspan-irreducibles-q4", 1, "a0d36643438e542e1ee7d8354f13996cdda61e68eeb83892bf9f50ed0bdc3acd"),
+    ("maxspan-irreducibles-f7", 0, "1460534b5140e07a05c9db5a1c4e7d3002bcac952180a6af97c7a9dbc32d9c02"),
+    ("maxspan-irreducibles-f7", 1, "e823d02646ed952326915b6ef0bed09822b29b0cc4071cd7215407348c7fca3f"),
 ]
 
 # (p, n) -> modulus of make_field(p, 1, n) at seed 0, little-endian digits
@@ -167,3 +234,19 @@ def test_alpha_sweep_digest():
     assert 0 < sum(verdicts) < len(verdicts)  # Sidon and non-Sidon spaces both appear
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == "dd1a48cacdbe8156ea14ba56e0291209adb72ceaea7d7e69b030e1fa83629d06"
+
+
+@pytest.mark.parametrize(
+    "name,seed,digest",
+    CONSTRUCTION_DIGESTS,
+    ids=[f"{name}-seed{seed}" for name, seed, _ in CONSTRUCTION_DIGESTS],
+)
+def test_construction_record_digest(name, seed, digest):
+    builder, args, kwargs = CONSTRUCTIONS[name]
+    rec = builder(*args, seed=seed, **kwargs)
+    assert hashlib.sha256(report_json(rec.to_dict()).encode()).hexdigest() == digest
+
+
+def test_construction_digests_cover_every_case():
+    pinned = {(name, seed) for name, seed, _ in CONSTRUCTION_DIGESTS}
+    assert pinned == {(name, seed) for name in CONSTRUCTIONS for seed in (0, 1)}
