@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, int_list, int_scalar
+from .errors import int_list, int_scalar, within_budget
 from .field import DiscreteLogTable, FieldElement
 from .sidon import DEFAULT_BUDGET, first_collision, is_r_sidon
 from .subspace import Subspace
@@ -76,11 +76,7 @@ def is_br_set(S, r: int, modulus: int | None = None, budget: int = DEFAULT_BUDGE
     N = len(elems)
     if N == 0:
         return True, None
-    total = math.comb(N + r - 1, r)
-    if total > budget:
-        raise BudgetError(
-            f"{total} multisets exceed the budget of {budget}", required=total
-        )
+    within_budget(math.comb(N + r - 1, r), budget, "multisets")
     if r * max(elems[-1], -elems[0]) >= 2**62:
         raise ValueError("elements too large for int64 sum enumeration")
     E = np.asarray(elems, dtype=np.int64)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfpoly
+from .brset import is_br_set
 from .errors import ConstructionError, NoSuchElementError
 from .field import (
     FieldCtx,
@@ -27,7 +28,6 @@ from .field import (
     make_field,
     minimal_polynomial,
     norm,
-    prime_ctx,
     random_irreducibles,
     split_prime_power,
 )
@@ -94,14 +94,6 @@ class ConstructionRecord:
             "claims": self.claims,
             "measured": self.measured,
         }
-
-
-def _as_subfield_element(ctx: FieldCtx, k: int, value, what: str) -> FieldElement:
-    """``ctx.element(value)``, which must lie in F_{q^k}."""
-    el = ctx.element(value)
-    if not ctx.in_subfield(el.vec, k):
-        raise ConstructionError(f"{what} must lie in F_(q^{k})")
-    return el
 
 
 def is_qm1_power(ctx: FieldCtx, x: FieldElement, k: int) -> bool:
@@ -244,7 +236,8 @@ def binomial_family(
     """
     p, a = split_prime_power(q)
     n = k * t
-    ctx = make_field(p, a, n, seed=seed)  # refuses k < 1 before k is read below
+    ctx = make_field(p, a, n, seed=seed)
+    ctx.subfield_degree(k, "k")  # before k is read below
     if math.gcd(s, k) != 1:
         raise ConstructionError(f"gcd(s, k) must be 1, got s={s}, k={k}")
     e2 = binomial_exponent(variant, s, k)
@@ -259,7 +252,7 @@ def binomial_family(
         else:
             raise NoSuchElementError("no admissible delta found")
     else:
-        delta_el = _as_subfield_element(ctx, k, delta, "delta")
+        delta_el = ctx.subfield_element(delta, k, "delta")
         if delta_el.is_zero():
             raise ConstructionError("delta must be nonzero")
         if not admissible_deltas(ctx, delta_el.vec[None, :], k, variant)[0]:
@@ -361,8 +354,6 @@ def maxspan_from_brset(S, q: int, r: int, n: int, *, seed: int = 0) -> Construct
     the resulting dims dim V = |S| and dim V^r = C(|S|+r-1, r) are
     re-measured on build.
     """
-    from .brset import is_br_set
-
     S = sorted({int(x) for x in S})
     if not S or S[0] < 0:
         raise ConstructionError("S must be a nonempty set of nonnegative integers")
@@ -373,30 +364,9 @@ def maxspan_from_brset(S, q: int, r: int, n: int, *, seed: int = 0) -> Construct
     if not ok:
         raise ConstructionError(f"S is not a B_{r}-set: {witness}")
     p, a = split_prime_power(q)
-    ctx = make_field(p, a, n, seed=seed)
-    gamma_el = find_generator(ctx, over_m=1, seed=seed)
-    gens = [gamma_el**e for e in S]
-    V = span(ctx, gens)
-    kdim = len(S)
-    if V.dim != kdim:
-        raise ConstructionError(f"dim V = {V.dim}, expected {kdim}")
-    expected = math.comb(kdim + r - 1, r)
-    got = power(V, r).dim
-    if got != expected:
-        raise ConstructionError(f"dim V^{r} = {got}, expected {expected}")
-    return ConstructionRecord(
-        name="maxspan-brset",
-        params={"q": q, "r": r, "n": n, "seed": seed, "S": S},
-        chosen={"gamma": gamma_el.coeffs, "field": ctx.to_spec()},
-        space=V,
-        claims={
-            "dim": kdim,
-            "r_span_dim": expected,
-            "r_sidon": {"order": r, "source": "max-span"},
-            "sidon": {"value": True, "source": "max-span"},
-        },
-        measured={"dim": V.dim, "r_span_dim": got},
-    )
+    gamma_el = find_generator(make_field(p, a, n, seed=seed), over_m=1, seed=seed)
+    params = {"q": q, "r": r, "n": n, "seed": seed, "S": S}
+    return _maxspan("maxspan-brset", params, {}, gamma_el, [gamma_el**e for e in S], r)
 
 
 def maxspan_from_irreducibles(
@@ -414,13 +384,10 @@ def maxspan_from_irreducibles(
         raise ConstructionError(f"need 1 < r < k, got r={r}, k={k}")
     p, a = split_prime_power(q)
     M = math.comb(k + r - 1, r)
-    if irreducibles is None:
-        delta_deg = 1
-        while gfpoly.irreducible_supply(q, delta_deg) < M:
-            delta_deg += 1
-        polys = random_irreducibles(q, M, delta_deg, seed=seed)
+    if irreducibles is None:  # random_irreducibles draws this degree first
+        Delta = next(d for d in itertools.count(1) if gfpoly.irreducible_supply(q, d) >= M)
     else:
-        scal = make_field(p, a, 1, seed=seed) if a > 1 else prime_ctx(p)
+        scal = make_field(p, a, 1, seed=seed)
         polys = []
         for entry in irreducibles:
             pl = entry if isinstance(entry, gfpoly.Poly) else gfpoly.Poly.from_ints(scal, list(entry))
@@ -431,7 +398,11 @@ def maxspan_from_irreducibles(
             raise ConstructionError("supplied polynomials must be pairwise distinct")
         if len(polys) != M:
             raise ConstructionError(f"need exactly {M} polynomials, got {len(polys)}")
-    Delta = max(pl.degree for pl in polys)
+        Delta = max(pl.degree for pl in polys)
+    n = r * Delta * math.comb(k + r - 2, r) + 1
+    gamma_el = find_generator(make_field(p, a, n, seed=seed), over_m=1, seed=seed)
+    if irreducibles is None:  # the field is built, so a*n is within bounds
+        polys = random_irreducibles(q, M, Delta, seed=seed)
     multisets = list(_multisets(k, r))
     assert len(multisets) == M
     assignment = dict(zip(multisets, polys))
@@ -443,30 +414,43 @@ def maxspan_from_irreducibles(
                 continue
             prod = pl if prod is None else prod * pl
         fs.append(prod)
-    bound = r * Delta * math.comb(k + r - 2, r)
-    n = bound + 1
-    ctx = make_field(p, a, n, seed=seed)
-    gamma_el = find_generator(ctx, over_m=1, seed=seed)
-    evals = [pl.evaluate_in(ctx, gamma_el) for pl in fs]
-    V = span(ctx, evals)
-    if V.dim != k:
-        raise ConstructionError(f"dim V = {V.dim}, expected {k}")
-    got = power(V, r).dim
-    if got != M:
-        raise ConstructionError(f"dim V^{r} = {got}, expected {M}")
-    return ConstructionRecord(
-        name="maxspan-irreducibles",
-        params={"q": q, "k": k, "r": r, "n": n, "Delta": Delta, "seed": seed},
-        chosen={
-            "gamma": gamma_el.coeffs,
-            "field": ctx.to_spec(),
+    return _maxspan(
+        "maxspan-irreducibles",
+        {"q": q, "k": k, "r": r, "n": n, "Delta": Delta, "seed": seed},
+        {
             "irreducibles": [pl.to_list() for pl in polys],
             "factors": {str(j + 1): fs[j].to_list() for j in range(k)},
         },
+        gamma_el,
+        [pl.evaluate_in(gamma_el.ctx, gamma_el) for pl in fs],
+        r,
+    )
+
+
+def _maxspan(
+    name: str, params: dict, chosen: dict, gamma: FieldElement, gens: list, r: int
+) -> ConstructionRecord:
+    """Record of the max-span space V = span(gens), built from powers or values of gamma.
+
+    dim V = len(gens) = k and dim V^r = C(k+r-1, r) are re-measured, and a
+    mismatch raises ConstructionError.
+    """
+    ctx, k = gamma.ctx, len(gens)
+    V = span(ctx, gens)
+    if V.dim != k:
+        raise ConstructionError(f"dim V = {V.dim}, expected {k}")
+    expected = math.comb(k + r - 1, r)
+    got = power(V, r).dim
+    if got != expected:
+        raise ConstructionError(f"dim V^{r} = {got}, expected {expected}")
+    return ConstructionRecord(
+        name=name,
+        params=params,
+        chosen={"gamma": gamma.coeffs, "field": ctx.to_spec(), **chosen},
         space=V,
         claims={
             "dim": k,
-            "r_span_dim": M,
+            "r_span_dim": expected,
             "r_sidon": {"order": r, "source": "max-span"},
             "sidon": {"value": True, "source": "max-span"},
         },

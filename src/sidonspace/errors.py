@@ -1,4 +1,4 @@
-"""Exception types, and the checks on integers read from JSON, shared across the package."""
+"""Exception types, the budget gate and the checks on integers read from JSON, shared across the package."""
 
 
 class ConstructionError(RuntimeError):
@@ -18,6 +18,13 @@ class BudgetError(RuntimeError):
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
         self.required = required
+
+
+def within_budget(required: int, budget: int, what: str) -> int:
+    """``required`` itself if it is at most ``budget``, else BudgetError carrying it."""
+    if required > budget:
+        raise BudgetError(f"{required} {what} exceed the budget {budget}", required=required)
+    return required
 
 
 class SupplyError(ConstructionError):

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import gfpoly
-from .errors import BudgetError, ConstructionError, NoSuchElementError, int_list, int_scalar
+from .errors import ConstructionError, NoSuchElementError, int_list, int_scalar, within_budget
 from .linalg import inverse_table, mat_pow, right_nullspace, rref, square_multiply
 from .numtheory import MAX_P, divisors, factorint, isprime, split_prime_power
 
@@ -202,12 +202,25 @@ class FieldCtx:
         """x -> x^(q^j) applied to a vector or a batch of rows."""
         return self.frob_p(U, (self.a * j) % self.dim)
 
+    def subfield_degree(self, m: int, what: str) -> int:
+        """m itself if it is in ``subfield_degrees``, else ValueError naming ``what``."""
+        if m not in self.subfield_degrees:
+            if m < 1:
+                raise ValueError(f"{what} must be at least 1, got {m}")
+            raise ValueError(f"{what}={m} does not divide n={self.n}")
+        return m
+
+    def subfield_element(self, value, k: int, what: str) -> FieldElement:
+        """``self.element(value)``, which must lie in F_{q^k} (else ConstructionError naming ``what``)."""
+        el = self.element(value)
+        if not self.in_subfield(el.vec, k):
+            raise ConstructionError(f"{what} must lie in F_(q^{k})")
+        return el
+
     def in_subfield(self, U: np.ndarray, m: int) -> np.ndarray | bool:
         """Membership of rows (or one vector) in F_{q^m}."""
-        if self.n % m:
-            raise ValueError(f"{m} does not divide n={self.n}")
         U = np.asarray(U, dtype=np.int64)
-        img = self.frob_q(U, m)
+        img = self.frob_q(U, self.subfield_degree(m, "m"))
         if U.ndim == 1:
             return bool((img == U).all())
         return (img == U).all(axis=1)
@@ -219,9 +232,7 @@ class FieldCtx:
     def subfield_fp_basis(self, m: int) -> np.ndarray:
         """Canonical F_p-basis (a*m rows, RREF) of the subfield F_{q^m}."""
         if m not in self._subfield_basis:
-            if self.n % m:
-                raise ValueError(f"{m} does not divide n={self.n}")
-            M = self._pow_mat((self.a * m) % self.dim)
+            M = self._pow_mat((self.a * self.subfield_degree(m, "m")) % self.dim)
             A = (M - np.eye(self.dim, dtype=np.int64)) % self.p
             basis = right_nullspace(A.T, self.p)  # rows u with u @ M == u
             out = rref(basis, self.p)[0]
@@ -239,11 +250,8 @@ class FieldCtx:
         BudgetError before allocating anything.
         """
         p, k = self.p, basis.shape[0]
-        if p**k > 1 << 22:
-            raise BudgetError(
-                f"{p}^{k} combinations are too many to enumerate", required=p**k
-            )
-        digits = np.arange(p**k)[:, None] // p ** np.arange(k) % p
+        count = within_budget(p**k, 1 << 22, "combinations")
+        digits = np.arange(count)[:, None] // p ** np.arange(k) % p
         return digits @ basis % p
 
     def subfield_elements(self, m: int) -> np.ndarray:
@@ -550,9 +558,7 @@ def field_from_spec(spec: dict) -> FieldCtx:
 def norm(x: FieldElement, m: int = 1) -> FieldElement:
     """Relative norm from F_{q^n} down to F_{q^m}."""
     ctx = x.ctx
-    if ctx.n % m:
-        raise ValueError(f"{m} does not divide n={ctx.n}")
-    e = (ctx.order - 1) // (ctx.q**m - 1)
+    e = (ctx.order - 1) // (ctx.q ** ctx.subfield_degree(m, "m") - 1)
     return FieldElement(ctx, ctx.pow_elem(x.vec, e))
 
 
@@ -563,8 +569,7 @@ def minimal_polynomial(x: FieldElement, m: int = 1) -> list[FieldElement]:
     (asserted). The degree equals the size of the Frobenius orbit of x.
     """
     ctx = x.ctx
-    if ctx.n % m:
-        raise ValueError(f"{m} does not divide n={ctx.n}")
+    m = ctx.subfield_degree(m, "m")
     conj = [x.vec]
     cur = ctx.frob_q(x.vec, m)
     while not (cur == x.vec).all():
@@ -602,13 +607,10 @@ def find_generator(
         seed: Search seed; results are deterministic per seed.
 
     Raises:
-        ValueError: If over_m is below 1 or does not divide n.
+        ValueError: If over_m is not in ``ctx.subfield_degrees``.
         NoSuchElementError: If none of 2^16 candidates qualifies.
     """
-    if over_m < 1:
-        raise ValueError(f"over_m must be at least 1, got {over_m}")
-    if ctx.n % over_m:
-        raise ValueError(f"over_m={over_m} does not divide n={ctx.n}")
+    ctx.subfield_degree(over_m, "over_m")
     rng = np.random.default_rng((ctx.p, ctx.a, ctx.n, seed, 0x6E))
     for _ in range(1 << 16):
         v = rng.integers(0, ctx.p, ctx.dim, dtype=np.int64)

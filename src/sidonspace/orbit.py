@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import _as_subfield_element
-from .errors import BudgetError, ConstructionError
+from .errors import ConstructionError, within_budget
 from .field import FieldElement
 from .linalg import rref
 from .qpoly import LinearizedPoly, v_f_gamma
@@ -93,7 +92,7 @@ def orbit_report(V: Subspace) -> OrbitReport:
     stab_pairs = int(full.sum()) + per_alpha  # alpha = 1 takes per_alpha unlisted pairs
     npts = (ctx.order - 1) // (ctx.q - 1)
     if stab_pairs % per_alpha or npts % (stab_pairs // per_alpha):
-        raise AssertionError("stabilizer class count does not divide the point count")
+        raise AssertionError("the point count is not a multiple of the stabilizer class count")
     stab_classes = stab_pairs // per_alpha
     orbit_size = npts // stab_classes
 
@@ -153,12 +152,7 @@ def semilinear_equivalent(
     if U.dim == 0:
         return (ctx.one, 0)
     n_aut = ctx.a * ctx.n
-    work = n_aut * ((ctx.order - 1) // (ctx.q - 1))
-    if work > budget:
-        raise BudgetError(
-            f"equivalence sweep needs {work} candidate pairs (budget {budget})",
-            required=work,
-        )
+    within_budget(n_aut * ((ctx.order - 1) // (ctx.q - 1)), budget, "candidate pairs")
     pts = U.projective_points()
     chunk = max(1, 4096 // U.basis.shape[0])  # alpha * basis-row products per block
     for j in range(n_aut):
@@ -202,10 +196,7 @@ def verify_glk2_certificate(
         raise ValueError("f and g must act on the same subfield of the same field")
     k = f.k
     (c, d), (a, b) = A
-    a = _as_subfield_element(ctx, k, a, "a")
-    b = _as_subfield_element(ctx, k, b, "b")
-    c = _as_subfield_element(ctx, k, c, "c")
-    d = _as_subfield_element(ctx, k, d, "d")
+    a, b, c, d = (ctx.subfield_element(x, k, what) for x, what in zip((a, b, c, d), "abcd"))
     det = a * d - b * c
     if det.is_zero():
         raise ConstructionError("certificate matrix is singular")

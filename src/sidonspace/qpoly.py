@@ -23,10 +23,9 @@ class LinearizedPoly:
     __slots__ = ("ctx", "k", "coeffs")
 
     def __init__(self, ctx: FieldCtx, k: int, coeffs: np.ndarray):
-        if ctx.n % k:
-            raise ValueError(f"k={k} does not divide n={ctx.n}")
+        k = int(ctx.subfield_degree(k, "k"))
         self.ctx = ctx
-        self.k = int(k)
+        self.k = k
         c = np.zeros((k, ctx.dim), dtype=np.int64)
         src = ctx.rows(coeffs)
         if src.shape[0] > k:

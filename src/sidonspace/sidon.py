@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import within_budget
 from .field import FieldElement
 from .numtheory import isprime
 from .subspace import (
@@ -126,12 +126,7 @@ def is_r_sidon(V: Subspace, r: int, *, budget: int = DEFAULT_BUDGET) -> SidonRep
     ctx = V.ctx
     pts = V.projective_points()
     N = pts.shape[0]
-    total = math.comb(N + r - 1, r)
-    if total > budget:
-        raise BudgetError(
-            f"{total} point multisets exceed the product budget {budget}",
-            required=total,
-        )
+    within_budget(math.comb(N + r - 1, r), budget, "point multisets")
     # one gather per column of idx: a single (r x B x dim) gather was measured slower
     pair, checked = first_collision(
         N, r, lambda idx: ctx.proj_canon(reduce(ctx.mul_many, (pts[c] for c in idx.T)))

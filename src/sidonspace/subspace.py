@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConstructionError, int_list
+from .errors import ConstructionError, int_list, within_budget
 from .field import FieldCtx, FieldElement, field_from_spec
 from .linalg import SpanBuilder, batch_rank, left_nullspace
 
@@ -301,12 +301,7 @@ def projective_point_count(ctx: FieldCtx, budget: int) -> int:
 
     Raises BudgetError when it exceeds ``budget``.
     """
-    count = (ctx.order - 1) // (ctx.q - 1)
-    if count > budget:
-        raise BudgetError(
-            f"{count} projective points exceed budget {budget}", required=count
-        )
-    return count
+    return within_budget((ctx.order - 1) // (ctx.q - 1), budget, "projective points")
 
 
 def all_projective_points(ctx: FieldCtx, *, budget: int = 1 << 22) -> np.ndarray:

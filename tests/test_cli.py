@@ -74,6 +74,13 @@ def test_construct_binomial_refuses_k_zero_before_the_exponent(capsys):
     assert "a and n must be positive" in err
 
 
+def test_construct_binomial_refuses_a_negative_k(capsys):
+    # n = k*t = 3 is a valid field, so the subfield-degree gate names k
+    code, out, err = run_cli(capsys, "construct", "binomial", "--q", "2", "--k", "-3", "--t", "-1")
+    assert code == 64 and out == ""
+    assert err == "error: k must be at least 1, got -3\n"
+
+
 def test_construct_binomial_refuses_s_sharing_a_factor_with_k(capsys):
     code, out, err = run_cli(
         capsys, "construct", "binomial", "--q", "2", "--k", "3", "--t", "3", "--s", "0"

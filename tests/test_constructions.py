@@ -277,6 +277,20 @@ def test_maxspan_irreducibles_rejections():
         maxspan_from_irreducibles(2, 3, 2, irreducibles=base)  # 5 of 6
 
 
+def test_maxspan_irreducibles_refuses_a_large_field_before_drawing(monkeypatch, capsys):
+    from sidonspace import constructions
+    from sidonspace.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_irreducibles called")
+
+    monkeypatch.setattr(constructions, "random_irreducibles", refuse)
+    with pytest.raises(ValueError, match="at most 128"):
+        maxspan_from_irreducibles(2, 16, 3)
+    assert main(["construct", "maxspan-irreducibles", "--q", "2", "--k", "16", "--r", "3"]) == 64
+    assert "at most 128" in capsys.readouterr().err
+
+
 def test_f7_quadratics_are_a_valid_supply():
     ctx = prime_ctx(7)
     polys = [Poly.from_ints(ctx, list(c)) for c in F7_EXAMPLE_QUADRATICS]

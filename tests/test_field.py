@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
+from sidonspace.brset import is_br_set
 from sidonspace.errors import BudgetError, ConstructionError
 from sidonspace.field import (
     DiscreteLogTable,
@@ -25,6 +26,10 @@ from sidonspace.field import (
     subfield_embedding,
 )
 from sidonspace.numtheory import MAX_P, divisors, factorint, isprime, mobius
+from sidonspace.orbit import semilinear_equivalent
+from sidonspace.qpoly import LinearizedPoly, v_f_gamma
+from sidonspace.sidon import is_r_sidon
+from sidonspace.subspace import projective_point_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -221,6 +226,49 @@ def test_oversized_combinations_raise_budget_error():
     with pytest.raises(BudgetError) as err:
         ctx.combinations(np.eye(23, dtype=np.int64))
     assert err.value.required == 2**23
+
+
+# each reads its subfield degree through FieldCtx.subfield_degree, so a bad one is named
+SUBFIELD_DEGREE_READERS = {
+    "in_subfield": ("m", lambda ctx, m: ctx.in_subfield(ctx.one_vec, m)),
+    "subfield_elements": ("m", lambda ctx, m: ctx.subfield_elements(m)),
+    "norm": ("m", lambda ctx, m: norm(ctx.one, m)),
+    "minimal_polynomial": ("m", lambda ctx, m: minimal_polynomial(ctx.one, m)),
+    "find_generator": ("over_m", lambda ctx, m: find_generator(ctx, over_m=m)),
+    "LinearizedPoly": ("k", lambda ctx, m: LinearizedPoly(ctx, m, [ctx.one_vec])),
+}
+
+
+@pytest.mark.parametrize("m", [0, -3, 4], ids=["zero", "negative", "non-divisor"])
+@pytest.mark.parametrize("reader", sorted(SUBFIELD_DEGREE_READERS))
+def test_a_bad_subfield_degree_is_refused_by_name(reader, m):
+    ctx = make_field(2, 1, 6)
+    what, call = SUBFIELD_DEGREE_READERS[reader]
+    message = f"{what} must be at least 1, got {m}" if m < 1 else f"{what}={m} does not divide n=6"
+    with pytest.raises(ValueError) as ei:
+        call(ctx, m)
+    assert str(ei.value) == message
+
+
+# every enumeration guard goes through errors.within_budget; V is a 3-dim graph space in F_2^9
+BUDGET_SITES = {
+    "combinations": (lambda V: make_field(2, 1, 23).combinations(np.eye(23, dtype=np.int64)), 2**23),
+    "projective_point_count": (lambda V: projective_point_count(V.ctx, 10), 511),
+    "is_r_sidon": (lambda V: is_r_sidon(V, 3, budget=10), 84),
+    "is_br_set": (lambda V: is_br_set(range(100), 3, budget=10), 171700),
+    "semilinear_equivalent": (lambda V: semilinear_equivalent(V, V, budget=100), 9 * 511),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BUDGET_SITES))
+def test_every_budget_site_reports_what_it_requires(site):
+    ctx = make_field(2, 1, 9)
+    V = v_f_gamma(LinearizedPoly.monomial(ctx, 3, 1), find_generator(ctx, over_m=3))
+    call, required = BUDGET_SITES[site]
+    with pytest.raises(BudgetError) as ei:
+        call(V)
+    assert ei.value.required == required
+    assert str(ei.value).startswith(f"{required} ") and "exceed the budget" in str(ei.value)
 
 
 def test_frobenius_is_q_power_and_additive():
