@@ -334,6 +334,19 @@ def test_is_qm1_power():
     assert is_qm1_power(ctx2, h, 3)  # q-1 = 1: everything qualifies
 
 
+@pytest.mark.parametrize(
+    "q,n,k", [(3, 12, 4), (5, 4, 2), (2, 6, 2), (4, 4, 2)], ids=["3-12-4", "5-4-2", "2-6-2", "4-4-2"]
+)
+def test_end_variant_keeps_delta_exactly_when_it_is_not_a_qm1_power(q, n, k):
+    # both ask whether N(delta) = 1 down to F_q, the end variant with even k over all of F_{q^k}
+    p, a = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q]
+    ctx = make_field(p, a, n)
+    deltas = ctx.subfield_elements(k)
+    kept = admissible_deltas(ctx, deltas, k, "end")
+    assert kept.tolist() == [not is_qm1_power(ctx, ctx.element(d), k) for d in deltas]
+    assert kept.any() == (q > 2)  # over F_2 every norm is 1
+
+
 def test_polynomial_independence_check_over_f4():
     f4 = make_field(2, 2, 1)
     gamma = find_generator(make_field(2, 2, 3))
