@@ -97,14 +97,17 @@ class ConstructionRecord:
 
 
 def is_qm1_power(ctx: FieldCtx, x: FieldElement, k: int) -> bool:
-    """Whether x is a (q-1)-th power inside F_{q^k} (literal subgroup test)."""
+    """Whether x is a (q-1)-th power inside F_{q^k}: zero, or of norm 1 down to F_q."""
     if not ctx.in_subfield(x.vec, k):
         raise ValueError("argument must lie in F_{q^k}")
-    if x.is_zero():
-        return True
-    g = math.gcd(ctx.q - 1, ctx.q**k - 1)
-    e = (ctx.q**k - 1) // g
-    return (ctx.pow_elem(x.vec, e) == ctx.one_vec).all()
+    return bool(_qm1_powers(ctx, x.vec[None, :], k)[0])
+
+
+def _qm1_powers(ctx: FieldCtx, xs: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows of ``xs`` (elements of F_{q^k}) that are (q-1)-th powers there: as
+    F_{q^k}^* is cyclic, zero and the kernel of the norm x -> x^((q^k - 1)/(q - 1)) to F_q."""
+    norms = ctx.pow_many(xs, (ctx.q**k - 1) // (ctx.q - 1))
+    return (norms == ctx.one_vec).all(axis=1) | ~xs.any(axis=1)
 
 
 def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> ConstructionRecord:
@@ -295,13 +298,11 @@ def admissible_deltas(ctx: FieldCtx, deltas: np.ndarray, k: int, variant: str) -
     """Mask of the rows of ``deltas`` (elements of F_{q^k}) that the binomial family admits.
 
     delta must be nonzero, and for the end variant with even k its norm
-    down to F_q, delta^((q^k - 1)/(q - 1)), must differ from 1.
+    down to F_q must differ from 1: delta must not be a (q-1)-th power.
     """
-    ok = deltas.any(axis=1)
     if variant == "end" and k % 2 == 0:
-        norms = ctx.pow_many(deltas, (ctx.q**k - 1) // (ctx.q - 1))
-        ok &= ~(norms == ctx.one_vec).all(axis=1)
-    return ok
+        return ~_qm1_powers(ctx, deltas, k)
+    return deltas.any(axis=1)
 
 
 def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:
