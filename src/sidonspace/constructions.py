@@ -12,8 +12,10 @@ to the callers' checkers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +125,8 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
         raise ConstructionError("r must be >= 2")
     if t < r:
         raise ConstructionError(f"t={t} < r={r}: no variant of the construction applies")
-    p, a = split_prime_power(q)
     n = k * t
-    ctx = make_field(p, a, n, seed=seed)
+    ctx = _field(q, n, seed, f"n = k*t for k={k}, t={t}")
     gamma = None
     if t >= r + 1:
         gamma = find_generator(ctx, over_m=k, seed=seed)
@@ -144,9 +145,7 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
         if gamma is None:
             raise NoSuchElementError("no admissible gamma found for the t == r variant")
     f = LinearizedPoly.monomial(ctx, k, s)
-    V = v_f_gamma(f, gamma)
-    if V.dim != k:
-        raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
+    V = _graph_space(ctx, k, f.matrix_on_subfield(), gamma)
     if not is_scattered(f)[0]:
         raise ConstructionError("monomial with gcd(s,k)=1 must be scattered")
     # For k >= 3 the layered span law gives dim V^s = sk up to t-1; for
@@ -162,18 +161,15 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
         if d != expected_dim(rr):
             raise ConstructionError(f"dim V^{rr} = {d}, expected {expected_dim(rr)}")
     source = "scattered-graph" if t >= r + 1 else "norm-condition-graph"
-    return ConstructionRecord(
-        name="monomial",
-        params={"q": q, "k": k, "s": s, "t": t, "r": r, "n": n, "seed": seed},
-        chosen={"gamma": gamma.coeffs, "field": ctx.to_spec()},
-        space=V,
-        claims={
-            "dim": k,
+    params = {"q": q, "k": k, "s": s, "t": t, "r": r, "n": n, "seed": seed}
+    return _record(
+        "monomial", params, gamma, V,
+        {
             "r_sidon": {"order": r, "source": source},
             "sidon": {"value": True, "source": source},
             "span_dims": {str(rr): expected_dim(rr) for rr in range(2, t)},
         },
-        measured={"dim": V.dim, "scattered": True, "span_dims": dims[1:]},
+        {"scattered": True, "span_dims": dims[1:]},
     )
 
 
@@ -237,18 +233,17 @@ def binomial_family(
     variant with even k its norm down to F_q must differ from 1 (the Sidon
     guarantee fails otherwise).
     """
-    p, a = split_prime_power(q)
     n = k * t
-    ctx = make_field(p, a, n, seed=seed)
+    ctx = _field(q, n, seed, f"n = k*t for k={k}, t={t}")
     ctx.subfield_degree(k, "k")  # before k is read below
     if math.gcd(s, k) != 1:
         raise ConstructionError(f"gcd(s, k) must be 1, got s={s}, k={k}")
     e2 = binomial_exponent(variant, s, k)
     if delta is None:
-        rng = np.random.default_rng((p, a, n, k, seed, 0xD))
+        rng = np.random.default_rng((ctx.p, ctx.a, n, k, seed, 0xD))
         B = ctx.subfield_fp_basis(k)
         for _ in range(4096):
-            v = rng.integers(0, p, B.shape[0], dtype=np.int64) @ B % p
+            v = rng.integers(0, ctx.p, B.shape[0], dtype=np.int64) @ B % ctx.p
             if admissible_deltas(ctx, v[None, :], k, variant)[0]:
                 delta_el = FieldElement(ctx, v)
                 break
@@ -264,20 +259,11 @@ def binomial_family(
             )
     gamma_el = find_generator(ctx, over_m=k, seed=seed) if gamma is None else ctx.element(gamma)
     Fs, Fe = binomial_images(ctx, k, s, variant)
-    V = Subspace(ctx, graph_bases(ctx, k, (Fs + ctx.mul_many(Fe, delta_el.vec)) % p, gamma_el.vec))
-    if V.dim != k:
-        raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
-    claims = {"dim": k}
-    if t > 2:  # delta is admissible by now
-        claims["sidon"] = {"value": True, "source": "binomial-graph"}
-    return ConstructionRecord(
-        name=f"binomial-{variant}",
-        params={"q": q, "k": k, "s": s, "t": t, "n": n, "seed": seed, "exp2": e2},
-        chosen={"gamma": gamma_el.coeffs, "delta": delta_el.coeffs, "field": ctx.to_spec()},
-        space=V,
-        claims=claims,
-        measured={"dim": V.dim},
-    )
+    V = _graph_space(ctx, k, (Fs + ctx.mul_many(Fe, delta_el.vec)) % ctx.p, gamma_el)
+    params = {"q": q, "k": k, "s": s, "t": t, "n": n, "seed": seed, "exp2": e2}
+    # delta is admissible by now
+    claims = {"sidon": {"value": True, "source": "binomial-graph"}} if t > 2 else {}
+    return _record(f"binomial-{variant}", params, gamma_el, V, claims, {}, delta=delta_el.coeffs)
 
 
 def binomial_exponent(variant: str, s: int, k: int) -> int:
@@ -314,14 +300,10 @@ def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:
     """
     if t < 2:
         raise ConstructionError("t must be >= 2")
-    p, a = split_prime_power(q)
     n = k * t
-    ctx = make_field(p, a, n, seed=seed)
+    ctx = _field(q, n, seed, f"n = k*t for k={k}, t={t}")
     gamma_el = find_generator(ctx, over_m=k, seed=seed)
-    f = LinearizedPoly.trace_poly(ctx, k)
-    V = v_f_gamma(f, gamma_el)
-    if V.dim != k:
-        raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
+    V = _graph_space(ctx, k, LinearizedPoly.trace_poly(ctx, k).matrix_on_subfield(), gamma_el)
     sub_pts = subfield_space(ctx, k).projective_points()
     sub_pts = sub_pts[off_base_field(ctx, sub_pts)]
     inter_dims = intersection_dims_with_scaled(V, sub_pts)
@@ -329,19 +311,13 @@ def trace_space(q: int, k: int, t: int, *, seed: int = 0) -> ConstructionRecord:
         raise ConstructionError(
             f"subfield intersection dims {sorted(set(int(d) for d in inter_dims))}, expected all {k - 2}"
         )
-    claims = {
-        "dim": k,
-        "sidon": {"value": k <= 3, "source": "trace-graph"},
-        "span_dims": {str(rr): rr * k for rr in range(2, t)},
-    }
-    return ConstructionRecord(
-        name="trace",
-        params={"q": q, "k": k, "t": t, "n": n, "seed": seed},
-        chosen={"gamma": gamma_el.coeffs, "field": ctx.to_spec()},
-        space=V,
-        claims=claims,
-        measured={
-            "dim": V.dim,
+    return _record(
+        "trace", {"q": q, "k": k, "t": t, "n": n, "seed": seed}, gamma_el, V,
+        {
+            "sidon": {"value": k <= 3, "source": "trace-graph"},
+            "span_dims": {str(rr): rr * k for rr in range(2, t)},
+        },
+        {
             "subfield_intersection_dims": sorted({int(d) for d in inter_dims}),
             "subfield_alphas": int(sub_pts.shape[0]),
         },
@@ -364,8 +340,8 @@ def maxspan_from_brset(S, q: int, r: int, n: int, *, seed: int = 0) -> Construct
     ok, witness = is_br_set(S, r)
     if not ok:
         raise ConstructionError(f"S is not a B_{r}-set: {witness}")
-    p, a = split_prime_power(q)
-    gamma_el = find_generator(make_field(p, a, n, seed=seed), over_m=1, seed=seed)
+    ctx = _field(q, n, seed, f"F_(q^n) for q={q}, n={n}")
+    gamma_el = find_generator(ctx, over_m=1, seed=seed)
     params = {"q": q, "r": r, "n": n, "seed": seed, "S": S}
     return _maxspan("maxspan-brset", params, {}, gamma_el, [gamma_el**e for e in S], r)
 
@@ -383,12 +359,11 @@ def maxspan_from_irreducibles(
     """
     if not 1 < r < k:
         raise ConstructionError(f"need 1 < r < k, got r={r}, k={k}")
-    p, a = split_prime_power(q)
+    scal = _field(q, 1, seed, f"F_q for q={q}")  # q is checked before its supply is counted
     M = math.comb(k + r - 1, r)
     if irreducibles is None:  # random_irreducibles draws this degree first
         Delta = next(d for d in itertools.count(1) if gfpoly.irreducible_supply(q, d) >= M)
     else:
-        scal = make_field(p, a, 1, seed=seed)
         polys = []
         for entry in irreducibles:
             pl = entry if isinstance(entry, gfpoly.Poly) else gfpoly.Poly.from_ints(scal, list(entry))
@@ -401,20 +376,16 @@ def maxspan_from_irreducibles(
             raise ConstructionError(f"need exactly {M} polynomials, got {len(polys)}")
         Delta = max(pl.degree for pl in polys)
     n = r * Delta * math.comb(k + r - 2, r) + 1
-    gamma_el = find_generator(make_field(p, a, n, seed=seed), over_m=1, seed=seed)
+    ctx = _field(q, n, seed, f"n = r*Delta*C(k+r-2, r) + 1 for k={k}, r={r}, Delta={Delta}")
+    gamma_el = find_generator(ctx, over_m=1, seed=seed)
     if irreducibles is None:  # the field is built, so a*n is within bounds
         polys = random_irreducibles(q, M, Delta, seed=seed)
-    multisets = list(_multisets(k, r))
-    assert len(multisets) == M
-    assignment = dict(zip(multisets, polys))
-    fs = []
-    for j in range(1, k + 1):
-        prod = None
-        for ms, pl in assignment.items():
-            if j in ms:
-                continue
-            prod = pl if prod is None else prod * pl
-        fs.append(prod)
+    # the M polynomials are indexed by the size-r multisets over {1..k}, in lexicographic order
+    assignment = list(zip(itertools.combinations_with_replacement(range(1, k + 1), r), polys))
+    fs = [
+        functools.reduce(operator.mul, (pl for ms, pl in assignment if j not in ms))
+        for j in range(1, k + 1)
+    ]
     return _maxspan(
         "maxspan-irreducibles",
         {"q": q, "k": k, "r": r, "n": n, "Delta": Delta, "seed": seed},
@@ -423,7 +394,7 @@ def maxspan_from_irreducibles(
             "factors": {str(j + 1): fs[j].to_list() for j in range(k)},
         },
         gamma_el,
-        [pl.evaluate_in(gamma_el.ctx, gamma_el) for pl in fs],
+        [pl.evaluate_in(ctx, gamma_el) for pl in fs],
         r,
     )
 
@@ -444,24 +415,41 @@ def _maxspan(
     got = power(V, r).dim
     if got != expected:
         raise ConstructionError(f"dim V^{r} = {got}, expected {expected}")
-    return ConstructionRecord(
-        name=name,
-        params=params,
-        chosen={"gamma": gamma.coeffs, "field": ctx.to_spec(), **chosen},
-        space=V,
-        claims={
-            "dim": k,
-            "r_span_dim": expected,
-            "r_sidon": {"order": r, "source": "max-span"},
-            "sidon": {"value": True, "source": "max-span"},
-        },
-        measured={"dim": V.dim, "r_span_dim": got},
-    )
+    claims = {
+        "r_span_dim": expected,
+        "r_sidon": {"order": r, "source": "max-span"},
+        "sidon": {"value": True, "source": "max-span"},
+    }
+    return _record(name, params, gamma, V, claims, {"r_span_dim": got}, **chosen)
 
 
-def _multisets(k: int, r: int):
-    """Size-r multisets over {1..k} in lexicographic order, as tuples."""
-    return itertools.combinations_with_replacement(range(1, k + 1), r)
+def _field(q: int, n: int, seed: int, what: str) -> FieldCtx:
+    """The seeded F_{q^n} of a builder. A refused field keeps make_field's reason
+    after ``what``, which names the builder parameters that set n and their values."""
+    p, a = split_prime_power(q)
+    try:
+        return make_field(p, a, n, seed=seed)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
+
+
+def _graph_space(ctx: FieldCtx, k: int, images: np.ndarray, gamma: FieldElement) -> Subspace:
+    """The graph space {u + f(u) gamma : u in F_{q^k}} of f with images = f(basis), of dim k."""
+    V = Subspace(ctx, graph_bases(ctx, k, images, gamma.vec))
+    if V.dim != k:
+        raise ConstructionError(f"graph space has dim {V.dim}, expected {k}")
+    return V
+
+
+def _record(
+    name: str, params: dict, gamma: FieldElement, V: Subspace, claims: dict, measured: dict,
+    **chosen,
+) -> ConstructionRecord:
+    """The record of V, built from gamma, once the builder has checked dim V = k:
+    ``chosen`` gets gamma and the field, and ``claims`` and ``measured`` get dim."""
+    chosen = {"gamma": gamma.coeffs, "field": V.ctx.to_spec(), **chosen}
+    dim = {"dim": V.dim}
+    return ConstructionRecord(name, params, chosen, V, {**dim, **claims}, {**dim, **measured})
 
 
 def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:

@@ -634,7 +634,7 @@ def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> l
     if count < 1 or max_degree < 1:
         raise ValueError("count and max_degree must be positive")
     p, a = split_prime_power(q)
-    scal = make_field(p, a, 1, seed=seed) if a > 1 else prime_ctx(p)
+    scal = make_field(p, a, 1, seed=seed)
     gfpoly.require_supply(q, count, max_degree)
     rng = np.random.default_rng((p, a, max_degree, seed, 0x17))
     found: list[gfpoly.Poly] = []

@@ -74,6 +74,27 @@ def test_construct_binomial_refuses_k_zero_before_the_exponent(capsys):
     assert "a and n must be positive" in err
 
 
+# a field the builder refuses names the options that set its degree n, with their values
+REFUSED_FIELDS = [
+    ("binomial --q 3 --k 0 --t 3", "n = k*t for k=0, t=3: a and n must be positive"),
+    ("monomial --q 3 --k 0 --t 3 --r 2", "n = k*t for k=0, t=3: a and n must be positive"),
+    ("trace --q 2 --k 3 --t 50", f"n = k*t for k=3, t=50: a*n must be at most {MAX_DIM}, got 150"),
+    ("maxspan-irreducibles --q 2 --k 16 --r 3",
+     f"n = r*Delta*C(k+r-2, r) + 1 for k=16, r=3, Delta=13: a*n must be at most {MAX_DIM}, got 26521"),
+    ("maxspan-brset --q 4 --r 2 --n 100 --set 0,1,3",
+     f"F_(q^n) for q=4, n=100: a*n must be at most {MAX_DIM}, got 200"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", REFUSED_FIELDS, ids=[argv.split()[0] for argv, _ in REFUSED_FIELDS]
+)
+def test_a_refused_field_names_the_construct_options(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", *argv.split())
+    assert code == 64 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_binomial_refuses_a_negative_k(capsys):
     # n = k*t = 3 is a valid field, so the subfield-degree gate names k
     code, out, err = run_cli(capsys, "construct", "binomial", "--q", "2", "--k", "-3", "--t", "-1")
