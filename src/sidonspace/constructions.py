@@ -38,6 +38,7 @@ from .qpoly import LinearizedPoly, graph_bases, is_scattered, v_f_gamma
 from .subspace import (
     Subspace,
     intersection_dims_with_scaled,
+    multisets,
     off_base_field,
     power,
     scale,
@@ -380,11 +381,10 @@ def maxspan_from_irreducibles(
     gamma_el = find_generator(ctx, over_m=1, seed=seed)
     if irreducibles is None:  # the field is built, so a*n is within bounds
         polys = random_irreducibles(q, M, Delta, seed=seed)
-    # the M polynomials are indexed by the size-r multisets over {1..k}, in lexicographic order
-    assignment = list(zip(itertools.combinations_with_replacement(range(1, k + 1), r), polys))
+    # the M polynomials are indexed by the size-r multisets over range(k), in lexicographic order
     fs = [
-        functools.reduce(operator.mul, (pl for ms, pl in assignment if j not in ms))
-        for j in range(1, k + 1)
+        functools.reduce(operator.mul, (pl for ms, pl in zip(multisets(k, r), polys) if j not in ms))
+        for j in range(k)
     ]
     return _maxspan(
         "maxspan-irreducibles",

@@ -6,12 +6,10 @@ vectors). A polynomial is stored little-endian as a (ncoeff x scalar_dim)
 int64 array with no trailing zero coefficient; the zero polynomial is the
 (0 x scalar_dim) array.
 
-Only what the package needs is implemented: products, division with
-remainder (kept as the reference the x-power tables are tested against),
-and, from one F_p-matrix of multiplication by x modulo f, tables of powers
-of x modulo f and Berlekamp's irreducibility test over the Frobenius
-(q-power) matrix; then counting and seeded random search for monic
-irreducibles.
+Only what the package needs is implemented: products and, from one
+F_p-matrix of multiplication by x modulo f, tables of powers of x modulo f
+and Berlekamp's irreducibility test over the Frobenius (q-power) matrix;
+then counting and seeded random search for monic irreducibles.
 """
 
 from __future__ import annotations
@@ -44,29 +42,6 @@ def pmul(ctx, f, g):
     for i in range(lf):
         full[i : i + lg] += prods[i]
     return _norm(full % ctx.p)
-
-
-def pdivmod(ctx, f, g):
-    if g.shape[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    df, dg = pdeg(f), pdeg(g)
-    if df < dg:
-        return f[:0], f
-    lead_inv = ctx.inv(g[-1])
-    rem = f.copy()
-    quo = np.zeros((df - dg + 1, ctx.dim), dtype=np.int64)
-    for k in range(df - dg, -1, -1):
-        top = rem[k + dg]
-        if not top.any():
-            continue
-        c = ctx.mul(top, lead_inv)
-        quo[k] = c
-        rem[k : k + dg + 1] = (rem[k : k + dg + 1] - ctx.mul_many(c, g)) % ctx.p
-    return _norm(quo), _norm(rem[:dg])
-
-
-def pmod(ctx, f, g):
-    return pdivmod(ctx, f, g)[1]
 
 
 def _x_power_coords(ctx, f, start: int, step: int, count: int) -> np.ndarray:

@@ -4,9 +4,10 @@ All matrices are numpy int64 arrays with entries reduced mod p. One
 kernel, a batched Gauss-Jordan sweep over a (B x m x n) stack, does every
 elimination: :func:`rref` and :func:`rank` run it on one matrix,
 :class:`SpanBuilder` on its basis stacked with the new rows, and
-:func:`batch_rank` on a whole stack. Its output is the canonical RREF
-(unit pivots, zeros above and below each pivot, rows ordered by pivot
-column), so two equal row spaces always produce byte-identical bases.
+:func:`batch_rref` (so :func:`batch_rank`) on a whole stack. Its output is
+the canonical RREF (unit pivots, zeros above and below each pivot, rows
+ordered by pivot column), so two equal row spaces always produce
+byte-identical bases.
 :func:`square_multiply` is the one square-and-multiply loop: :func:`mat_pow`
 runs it with a matrix product mod p, and the field powers
 (``FieldCtx.pow_elem``, ``FieldCtx.pow_many``) with field products.
@@ -138,8 +139,8 @@ def rref(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         (R, pivots): canonical RREF basis of the row space and its pivot
         column indices.
     """
-    M = np.array(np.atleast_2d(A), dtype=np.int64)[None] % p
-    R = M[0, : _gauss_jordan(M, p)[0]]
+    M, ranks = batch_rref(np.atleast_2d(A)[None], p)
+    R = M[0, : ranks[0]]
     return R, (R != 0).argmax(axis=1).tolist() if R.size else []
 
 
@@ -168,16 +169,15 @@ def left_nullspace(A: np.ndarray, p: int) -> np.ndarray:
     return right_nullspace(np.atleast_2d(A).T, p)
 
 
+def batch_rref(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical RREF (zero rows past the rank) and the rank of each matrix of a (B x m x n) stack."""
+    M = np.array(mats, dtype=np.int64) % p
+    return M, _gauss_jordan(M, p)
+
+
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a batch of matrices over F_p.
-
-    Args:
-        mats: (B x m x n) array; not modified.
-
-    Returns:
-        Length-B int64 array of ranks.
-    """
-    return _gauss_jordan(np.array(mats, dtype=np.int64) % p, p)
+    """Ranks of a (B x m x n) stack of matrices over F_p; ``mats`` is not modified."""
+    return batch_rref(mats, p)[1]
 
 
 def square_multiply(one, base, e: int, mul):
@@ -201,14 +201,3 @@ def mat_pow(A: np.ndarray, e: int, p: int) -> np.ndarray:
     base = np.asarray(A, dtype=np.int64) % p
     return square_multiply(np.eye(A.shape[0], dtype=np.int64), base, e, lambda X, Y: X @ Y % p)
 
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional F_q-subspaces of an n-dimensional space."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den

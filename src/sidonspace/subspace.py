@@ -9,13 +9,15 @@ membership cheap, which the chain/stabilizer computations lean on heavily.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, int_list, within_budget
 from .field import FieldCtx, FieldElement, field_from_spec
-from .linalg import SpanBuilder, batch_rank, left_nullspace
+from .linalg import SpanBuilder, batch_rank, batch_rref, left_nullspace
 
 
 class Subspace:
@@ -183,6 +185,49 @@ def span_levels(V: Subspace, count: int) -> list[Subspace]:
             break
         levels.append(nxt)
     return levels
+
+
+@functools.lru_cache(maxsize=64)
+def multisets(N: int, r: int) -> np.ndarray:
+    """The r-multisets of range(N) in lexicographic order, as a read-only (C x r) int64 table."""
+    table = np.array([*itertools.combinations_with_replacement(range(N), r)], dtype=np.int64)
+    table.setflags(write=False)
+    return table.reshape(-1, r)
+
+
+def stacked_span_dims(ctx: FieldCtx, bases: np.ndarray, count: int) -> list[list[int]]:
+    """[lv.dim for lv in span_levels(V, count)] for the V of each (k x dim) basis of a stack.
+
+    Prime q only; every dim is a ``batch_rank``. Level s >= 2 is generated by the smaller
+    set: the C(k+s-1, s) monomials b_i1...b_is (i1 <= ... <= is), or the level-(s-1) RREF
+    rows times the basis. A member stops at the first V^s = V^(s+1): equal dims that both
+    levels' generators, stacked, keep (equal dims alone do not decide: alpha * F_(q^m)).
+    """
+    if ctx.a != 1:
+        raise ValueError(f"stacked span dims need a prime q, got q = {ctx.q}")
+    p, X = ctx.p, np.asarray(bases, dtype=np.int64)  # batch_rank and mul_many reduce mod p
+    k, d = X.shape[1], batch_rank(X, p)
+    dims = [[int(x)] for x in d]
+    live, gens, mono, mono_s = np.arange(len(X)), X, X, 1
+    for s in range(2, count + 1):
+        if not live.size:
+            break
+        if math.comb(k + s - 1, s) <= d.max() * k:
+            for t in range(mono_s + 1, s + 1):  # (t-1)-multiset (numbered by the cumsum), then j
+                T = multisets(k, t)
+                mono = ctx.mul_many(mono[:, np.cumsum(T[:, -1] == T[:, -2]) - 1], X[live][:, T[:, -1]])
+            nxt, mono_s = mono, s
+        else:
+            R = batch_rref(gens, p)[0][:, : d.max(), None]  # rows past a rank are zero
+            nxt = ctx.mul_many(R, X[live][:, None]).reshape(live.size, -1, ctx.dim)
+        dn = batch_rank(nxt, p)
+        stop = dn == d
+        if stop.any():
+            stop[stop] = batch_rank(np.concatenate([gens[stop], nxt[stop]], axis=1), p) == d[stop]
+        for i, x in zip(live[~stop], dn[~stop]):
+            dims[i].append(int(x))
+        live, d, gens, mono = live[~stop], dn[~stop], nxt[~stop], mono[~stop]
+    return dims
 
 
 def power(V: Subspace, r: int) -> Subspace:

@@ -5,10 +5,10 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from oracles import gaussian_binomial
 from sidonspace.linalg import (
     SpanBuilder,
     batch_rank,
-    gaussian_binomial,
     inverse_table,
     left_nullspace,
     mat_pow,

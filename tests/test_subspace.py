@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gaussian_binomial
 from sidonspace.constructions import monomial
 from sidonspace.errors import BudgetError
 from sidonspace.field import FieldElement, find_generator, make_field
-from sidonspace.linalg import gaussian_binomial
 from sidonspace.sidon import audit_bounds
 from sidonspace.subspace import (
     Subspace,
