@@ -156,7 +156,7 @@ def monomial(q: int, k: int, s: int, t: int, r: int, *, seed: int = 0) -> Constr
         return rr * k if k >= 3 else math.comb(k + rr - 1, rr)
 
     count = min(r, t - 1)
-    dims = [W.dim for W in span_levels(V, count)]
+    dims = [len(rows) // ctx.a for rows in span_levels(ctx, V.basis[None], count)[0]]
     dims += dims[-1:] * (count - len(dims))  # a stable chain stays stable
     for rr, d in enumerate(dims[1:], start=2):
         if d != expected_dim(rr):

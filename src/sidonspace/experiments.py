@@ -25,9 +25,10 @@ from .brset import extract_brset
 from .constructions import admissible_deltas, binomial_family, binomial_images
 from .errors import int_scalar
 from .field import DiscreteLogTable, find_generator, make_field
+from .linalg import batch_rref
 from .qpoly import LinearizedPoly, graph_bases
 from .sidon import audit_bounds, max_span_bound, r_sidon_profile
-from .subspace import Subspace, random_subspace, stacked_span_dims
+from .subspace import Subspace, random_subspace, span_levels
 
 
 def _json_default(o):
@@ -200,7 +201,6 @@ def _graph_table(
             rows.append({**base_row, "verdict": "skipped: budget"})
             continue
         ctx = make_field(q, 1, n)
-        assert ctx.a == 1, "the chain dims are F_p ranks"
         gamma = find_generator(ctx, over_m=k, seed=spec.seed)
         Fs, Fe = binomial_images(ctx, k, s, variant)
         G0, G1 = graph_bases(ctx, k, Fs, gamma.vec), ctx.mul_many(Fe, gamma.vec)  # V_d = G0 + d G1
@@ -208,8 +208,9 @@ def _graph_table(
         deltas = deltas[admissible_deltas(ctx, deltas, k, variant)]
         chains: list[list[int]] = []
         for dv in np.split(deltas, range(TABLE_CHUNK, deltas.shape[0], TABLE_CHUNK)):
-            chains += stacked_span_dims(ctx, (G0 + ctx.mul_many(dv[:, None], G1)) % ctx.p, r)
-        assert all(dims[0] == k for dims in chains), "graph space lost dimension"
+            R, ranks = batch_rref(G0 + ctx.mul_many(dv[:, None], G1), ctx.p)
+            assert (ranks == k).all(), "graph space lost dimension"
+            chains += [[len(rows) for rows in lv] for lv in span_levels(ctx, R, r)]  # q = p: F_p ranks
         bounds = [max_span_bound(n, k, lvl) for lvl in range(1, r + 1)]
         cap_violations = sum(d > b for dims in chains for d, b in zip(dims, bounds))
         dims_seen = Counter(dims[-1] for dims in chains)  # dim V^r: a shorter chain is stable

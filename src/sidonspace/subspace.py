@@ -38,6 +38,16 @@ class Subspace:
             if self._sb.reduce(ctx.mul_many(self.basis, xi)).any():
                 raise ConstructionError("rows do not span an F_q-closed space")
 
+    @classmethod
+    def _adopt(cls, ctx: FieldCtx, rows: np.ndarray) -> "Subspace":
+        """The space of rows that are already a canonical RREF basis (a level of
+        :func:`span_levels`), taken as they are, without another elimination."""
+        V = cls.__new__(cls)
+        V.ctx, V._sb = ctx, SpanBuilder(ctx.p, ctx.dim)
+        rows.setflags(write=False)
+        V._sb._basis, V._sb._pivots = rows, (rows != 0).argmax(axis=1).tolist()
+        return V
+
     @property
     def basis(self) -> np.ndarray:
         """Canonical RREF basis rows (F_p coordinates), read-only."""
@@ -172,21 +182,6 @@ def product(U: Subspace, V: Subspace) -> Subspace:
     return Subspace(ctx, ctx.mul_many(U.basis[:, None], V.basis).reshape(-1, ctx.dim))
 
 
-def span_levels(V: Subspace, count: int) -> list[Subspace]:
-    """The product spans V, V^2, ..., V^count, stopping at the first V^s = V^(s+1).
-
-    A stable chain stays stable (V^(s+2) = V^(s+1) V = V^s V = V^(s+1)),
-    so the last level returned is V^count even when the list is shorter.
-    """
-    levels = [V]
-    while len(levels) < count:
-        nxt = product(levels[-1], V)
-        if nxt == levels[-1]:
-            break
-        levels.append(nxt)
-    return levels
-
-
 @functools.lru_cache(maxsize=64)
 def multisets(N: int, r: int) -> np.ndarray:
     """The r-multisets of range(N) in lexicographic order, as a read-only (C x r) int64 table."""
@@ -195,46 +190,46 @@ def multisets(N: int, r: int) -> np.ndarray:
     return table.reshape(-1, r)
 
 
-def stacked_span_dims(ctx: FieldCtx, bases: np.ndarray, count: int) -> list[list[int]]:
-    """[lv.dim for lv in span_levels(V, count)] for the V of each (k x dim) basis of a stack.
+def span_levels(ctx: FieldCtx, R: np.ndarray, count: int) -> list[list[np.ndarray]]:
+    """The canonical RREF rows of V, V^2, ..., for the V of each member of an (F x m x dim) stack.
 
-    Prime q only; every dim is a ``batch_rank``. Level s >= 2 is generated by the smaller
-    set: the C(k+s-1, s) monomials b_i1...b_is (i1 <= ... <= is), or the level-(s-1) RREF
-    rows times the basis. A member stops at the first V^s = V^(s+1): equal dims that both
-    levels' generators, stacked, keep (equal dims alone do not decide: alpha * F_(q^m)).
+    ``R`` is in canonical RREF with zero rows past each rank, as ``batch_rref`` returns it,
+    and its rows span an F_q-closed V over F_p; then the products of s of them span V^s
+    over F_p. Level s >= 2 is one ``batch_rref`` of the smaller generator set: the
+    C(m+s-1, s) monomials b_i1...b_is (i1 <= ... <= is), or the level-(s-1) rows times the
+    basis. A member stops at its first V^s = V^(s+1), where its new rows equal its previous
+    rows (equal dims alone do not decide: alpha * F_(q^m)), or at V^count. A stable chain
+    stays stable (V^(s+2) = V^(s+1) V = V^s V = V^(s+1)), so the last level of every
+    member is V^count even when its list is shorter.
     """
-    if ctx.a != 1:
-        raise ValueError(f"stacked span dims need a prime q, got q = {ctx.q}")
-    p, X = ctx.p, np.asarray(bases, dtype=np.int64)  # batch_rank and mul_many reduce mod p
-    k, d = X.shape[1], batch_rank(X, p)
-    dims = [[int(x)] for x in d]
-    live, gens, mono, mono_s = np.arange(len(X)), X, X, 1
+    X = np.asarray(R, dtype=np.int64)
+    m, d = X.shape[1], X.any(axis=2).sum(axis=1)
+    levels = [[rows[:r]] for rows, r in zip(X, d)]
+    live, prev, mono, mono_s = np.arange(len(X)), X, X, 1
     for s in range(2, count + 1):
         if not live.size:
             break
-        if math.comb(k + s - 1, s) <= d.max() * k:
+        if math.comb(m + s - 1, s) <= d.max() * m:
             for t in range(mono_s + 1, s + 1):  # (t-1)-multiset (numbered by the cumsum), then j
-                T = multisets(k, t)
+                T = multisets(m, t)
                 mono = ctx.mul_many(mono[:, np.cumsum(T[:, -1] == T[:, -2]) - 1], X[live][:, T[:, -1]])
-            nxt, mono_s = mono, s
-        else:
-            R = batch_rref(gens, p)[0][:, : d.max(), None]  # rows past a rank are zero
-            nxt = ctx.mul_many(R, X[live][:, None]).reshape(live.size, -1, ctx.dim)
-        dn = batch_rank(nxt, p)
-        stop = dn == d
-        if stop.any():
-            stop[stop] = batch_rank(np.concatenate([gens[stop], nxt[stop]], axis=1), p) == d[stop]
-        for i, x in zip(live[~stop], dn[~stop]):
-            dims[i].append(int(x))
-        live, d, gens, mono = live[~stop], dn[~stop], nxt[~stop], mono[~stop]
-    return dims
+            gens, mono_s = mono, s
+        else:  # rows past a rank are zero
+            gens = ctx.mul_many(prev[:, : d.max(), None], X[live][:, None]).reshape(live.size, -1, ctx.dim)
+        nxt, dn = batch_rref(gens, ctx.p)
+        w = min(nxt.shape[1], prev.shape[1])
+        go = (dn != d) | (nxt[:, :w] != prev[:, :w]).any(axis=(1, 2))
+        for i, rows, r in zip(live[go], nxt[go], dn[go]):
+            levels[i].append(rows[:r])
+        live, d, prev, mono = live[go], dn[go], nxt[go], mono[go]
+    return levels
 
 
 def power(V: Subspace, r: int) -> Subspace:
     """The r-fold product span V^r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return span_levels(V, r)[-1]
+    return Subspace._adopt(V.ctx, span_levels(V.ctx, V.basis[None], r)[0][-1])
 
 
 @dataclass(frozen=True)
@@ -279,9 +274,9 @@ def span_chain(V: Subspace, s_max: int | None = None) -> SpanChain:
     if s_max is not None and s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     cap = s_max if s_max is not None else V.ctx.n + 1
-    levels = span_levels(V, cap + 1)
-    stable = len(levels) <= cap  # span_levels stops short only at V^s = V^(s+1)
-    levels = levels[:cap]
+    rows = span_levels(V.ctx, V.basis[None], cap + 1)[0]
+    stable = len(rows) <= cap  # span_levels stops short only at V^s = V^(s+1)
+    levels = [Subspace._adopt(V.ctx, lv) for lv in rows[:cap]]
     m_gen = V.ctx.field_degree(V.basis)
     return SpanChain(
         levels=tuple(levels),

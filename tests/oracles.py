@@ -2,12 +2,14 @@
 
 ``pdivmod``/``pmod`` are schoolbook division with remainder, the oracle the
 x-power tables of ``gfpoly`` are checked against; ``gaussian_binomial``
-counts subspaces for the enumeration tests.
+counts subspaces for the enumeration tests. ``span_levels_by_products`` is the
+one-space span chain by repeated products, the reference for ``span_levels``.
 """
 
 import numpy as np
 
 from sidonspace.gfpoly import _norm, pdeg
+from sidonspace.subspace import product
 
 
 def pdivmod(ctx, f, g):
@@ -43,3 +45,14 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def span_levels_by_products(V, count):
+    """V, V^2, ..., V^count by repeated ``product``, stopping at the first V^s = V^(s+1)."""
+    levels = [V]
+    while len(levels) < count:
+        nxt = product(levels[-1], V)
+        if nxt == levels[-1]:
+            break
+        levels.append(nxt)
+    return levels

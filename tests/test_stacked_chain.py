@@ -1,14 +1,19 @@
-"""The stacked span chain of the table sweeps against per-space ``span_levels``."""
+"""The span chain ``span_levels`` against the per-space product chain of ``oracles``.
+
+Every case compares the canonical rows of every level, not only the dims.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from oracles import span_levels_by_products
 from sidonspace import subspace as subspace_mod
 from sidonspace.constructions import admissible_deltas, binomial_images
 from sidonspace.experiments import TABLE_CHUNK
 from sidonspace.field import find_generator, make_field
+from sidonspace.linalg import SpanBuilder, batch_rref
 from sidonspace.qpoly import graph_bases
 from sidonspace.subspace import (
     Subspace,
@@ -16,22 +21,41 @@ from sidonspace.subspace import (
     random_subspace,
     scale,
     span,
+    span_chain,
     span_levels,
-    stacked_span_dims,
     subfield_space,
 )
 
 
-def _level_dims(V, count):
-    return [lv.dim for lv in span_levels(V, count)]
+def _stack(spaces):
+    """The canonical bases of ``spaces`` as one stack, zero rows past each rank."""
+    R = np.zeros((len(spaces), max(V.basis.shape[0] for V in spaces), spaces[0].ctx.dim), dtype=np.int64)
+    for M, V in zip(R, spaces):
+        M[: V.basis.shape[0]] = V.basis
+    return R
+
+
+def _rows(levels):
+    return [rows.tolist() for rows in levels]
+
+
+def _reference(V, count):
+    return [W.basis.tolist() for W in span_levels_by_products(V, count)]
+
+
+def _chain_equals_reference(spaces, count):
+    got = span_levels(spaces[0].ctx, _stack(spaces), count)
+    assert [_rows(lv) for lv in got] == [_reference(V, count) for V in spaces]
+    return got
 
 
 def _counting_rref(monkeypatch):
+    """Record (members, generator rows) of every ``batch_rref`` call of the chain."""
     calls = []
     real = subspace_mod.batch_rref
 
     def counting(mats, p):
-        calls.append(len(mats))
+        calls.append(np.shape(mats)[:2])
         return real(mats, p)
 
     monkeypatch.setattr(subspace_mod, "batch_rref", counting)
@@ -54,9 +78,9 @@ def test_stacked_dims_equal_span_levels_on_every_delta_of_a_table_row(q, r, n, k
     bases = (G0 + ctx.mul_many(deltas[:, None], G1)) % ctx.p
     got = []
     for lo in range(0, len(bases), TABLE_CHUNK):
-        got += stacked_span_dims(ctx, bases[lo : lo + TABLE_CHUNK], r)
-    assert got == [_level_dims(Subspace(ctx, B), r) for B in bases]
-    assert {len(dims) for dims in got} == {r}
+        got += span_levels(ctx, batch_rref(bases[lo : lo + TABLE_CHUNK], ctx.p)[0], r)
+    assert [_rows(lv) for lv in got] == [_reference(Subspace(ctx, B), r) for B in bases]
+    assert {len(lv) for lv in got} == {r}
 
 
 @pytest.mark.parametrize(
@@ -66,10 +90,26 @@ def test_stacked_dims_equal_span_levels_on_every_delta_of_a_table_row(q, r, n, k
 def test_stacked_dims_equal_span_levels_on_random_spaces(p, n, k, members, count, seed):
     ctx = make_field(p, 1, n)
     rng = np.random.default_rng((p, n, k, seed))
-    spaces = [random_subspace(ctx, k, rng) for _ in range(members)]
-    got = stacked_span_dims(ctx, np.stack([V.basis for V in spaces]), count)
-    assert got == [_level_dims(V, count) for V in spaces]
-    assert any(len(dims) < count for dims in got)  # the chains stop early
+    got = _chain_equals_reference([random_subspace(ctx, k, rng) for _ in range(members)], count)
+    assert any(len(lv) < count for lv in got)  # the chains stop early
+
+
+@pytest.mark.parametrize("p,a,n,k,seed", [(2, 2, 3, 2, 0), (2, 2, 5, 2, 1), (3, 2, 2, 1, 2), (2, 2, 5, 3, 3)])
+def test_span_levels_over_a_non_prime_q(p, a, n, k, seed):
+    # F_(4^3), F_(4^5) and F_(9^2): the a*k rows are an F_p-basis of an F_q-closed space
+    ctx = make_field(p, a, n)
+    rng = np.random.default_rng(seed)
+    spaces = [random_subspace(ctx, k, rng) for _ in range(4)]
+    spaces += [subfield_space(ctx, 1), span(ctx, [ctx.one, ctx.random_element(rng)])]
+    _chain_equals_reference(spaces, n + 1)
+
+
+def test_the_zero_space_stops_at_level_1():
+    ctx = make_field(2, 1, 6)
+    Z, V = span(ctx, []), random_subspace(ctx, 2, np.random.default_rng(0))
+    assert [_rows(lv) for lv in span_levels(ctx, Z.basis[None], 4)] == [[[]]]
+    got = _chain_equals_reference([V, Z, V], 4)
+    assert [len(lv) for lv in got] == [len(got[0]), 1, len(got[0])]
 
 
 def test_a_subfield_stops_at_level_1_and_a_scaled_subfield_runs_on(monkeypatch):
@@ -77,30 +117,24 @@ def test_a_subfield_stops_at_level_1_and_a_scaled_subfield_runs_on(monkeypatch):
     # level, yet alpha^s F_8 != alpha^(s+1) F_8, so equal dims must not stop its chain
     ctx = make_field(2, 1, 6)
     K = subfield_space(ctx, 3)
-    alpha = find_generator(ctx)
-    aK = scale(K, alpha)
-    levels = span_levels(aK, 5)
-    assert [lv.dim for lv in levels] == [3] * 5 and len(set(levels)) == 5
+    aK = scale(K, find_generator(ctx))
     calls = _counting_rref(monkeypatch)
-    assert stacked_span_dims(ctx, np.stack([K.basis, aK.basis, K.basis]), 5) == [
-        [3], [3, 3, 3, 3, 3], [3],
-    ]
-    # level 3 has C(5, 3) = 10 monomials but only 3 * 3 RREF rows times the basis
-    assert calls == [1, 1, 1]
+    got = _chain_equals_reference([K, aK, K], 5)
+    assert [len(lv) for lv in got] == [1, 5, 1] and len({bytes(np.ascontiguousarray(x)) for x in got[1]}) == 5
+    # one elimination per level; level 2 has C(4, 2) = 6 monomials, levels 3 to 5 the
+    # 3 * 3 level rows times the basis (C(5, 3) = 10 monomials)
+    assert calls == [(3, 6), (1, 9), (1, 9), (1, 9)]
 
 
 @pytest.mark.parametrize("p,n,m,seed", [(3, 4, 2, 0), (2, 6, 3, 1), (2, 6, 2, 2), (5, 4, 2, 3)])
 def test_stacked_dims_equal_span_levels_on_scaled_subfields(monkeypatch, p, n, m, seed):
-    # random alpha * F_(q^m): the RREF-rows-times-basis branch, and members that stop at level 1
+    # random alpha * F_(q^m): the level-rows-times-basis branch, and members that stop at level 1
     ctx = make_field(p, 1, n)
     rng = np.random.default_rng(seed)
     K = subfield_space(ctx, m)
     alphas = [ctx.random_element(rng) for _ in range(5)]
-    spaces = [scale(K, a) for a in alphas if not a.is_zero()]
-    count = 6
     calls = _counting_rref(monkeypatch)
-    got = stacked_span_dims(ctx, np.stack([V.basis for V in spaces]), count)
-    assert got == [_level_dims(V, count) for V in spaces]
+    _chain_equals_reference([scale(K, a) for a in alphas if not a.is_zero()], 6)
     assert calls
 
 
@@ -112,17 +146,43 @@ def test_long_chains_switch_to_rref_rows_times_the_basis(monkeypatch):
     g = find_generator(ctx)
     spaces = [span(ctx, [ctx.one, g, g * g]), scale(span(ctx, [ctx.one, g, g**3]), g**5)]
     calls = _counting_rref(monkeypatch)
-    got = stacked_span_dims(ctx, np.stack([V.basis for V in spaces]), 16)
-    assert got == [_level_dims(V, 16) for V in spaces]
-    assert got[0] == [*range(3, 31, 2), 30] and got[1] == [*range(3, 31, 3)]
-    assert calls == [1] * 5  # levels 12 to 16, the first member alone
+    got = _chain_equals_reference(spaces, 16)
+    dims = [[len(rows) for rows in lv] for lv in got]
+    assert dims[0] == [*range(3, 31, 2), 30] and dims[1] == [*range(3, 31, 3)]
+    monomials = [(2, (s + 2) * (s + 1) // 2) for s in range(2, 12)]
+    assert calls == monomials + [(1, 3 * d) for d in dims[0][10:15]]  # levels 12 to 16, alone
 
 
-def test_stacked_dims_refuse_a_non_prime_q():
-    ctx = make_field(2, 2, 3)
-    V = subfield_space(ctx, 1)
-    with pytest.raises(ValueError, match="prime q, got q = 4"):
-        stacked_span_dims(ctx, V.basis[None], 2)
+def test_each_level_is_one_elimination_of_its_live_members(monkeypatch):
+    ctx = make_field(2, 1, 6)
+    rng = np.random.default_rng(5)
+    spaces = [random_subspace(ctx, k, rng) for k in (1, 2, 2, 3, 4)] + [subfield_space(ctx, 2)]
+    calls = _counting_rref(monkeypatch)
+    ranks = []
+    monkeypatch.setattr(subspace_mod, "batch_rank", lambda mats, p: ranks.append(len(mats)))
+    count = 6
+    got = _chain_equals_reference(spaces, count)
+    live = [sum(s <= min(len(lv) + 1, count) for lv in got) for s in range(2, count + 1)]
+    assert [members for members, _ in calls] == [n for n in live if n]
+    assert not ranks
+
+
+def test_span_chain_adopts_its_levels_without_another_elimination(monkeypatch):
+    ctx = make_field(2, 1, 9)
+    V = random_subspace(ctx, 3, np.random.default_rng(7))
+    inserts = []
+    real = SpanBuilder.insert_many
+
+    def counting(self, rows):
+        inserts.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(SpanBuilder, "insert_many", counting)
+    calls = _counting_rref(monkeypatch)
+    chain = span_chain(V)
+    assert not inserts
+    assert chain.levels == tuple(span_levels_by_products(V, ctx.n + 1))
+    assert [members for members, _ in calls] == [1] * len(chain.levels)  # levels 2 to t_bar + 1
 
 
 @pytest.mark.parametrize("N,r", [(4, 1), (3, 3), (5, 2), (1, 4), (0, 2)])
