@@ -13,7 +13,10 @@ digest pins the alpha sweeps: the intersection verdict, the orbit report
 and the semilinear equivalence search on seeded spaces, and the trace
 construction, which re-measures its subfield intersections. The
 construction records of every builder are pinned at seeds 0 and 1, each as
-the digest of ``report_json(rec.to_dict())``.
+the digest of ``report_json(rec.to_dict())``. The irreducibles that
+``random_irreducibles`` samples (rather than enumerates) and the minimal
+polynomials over F_(4^5) and F_(9^2) are pinned as well, since no report
+reaches them.
 """
 
 import hashlib
@@ -37,7 +40,13 @@ from sidonspace.experiments import (
     report_json,
     run_experiment,
 )
-from sidonspace.field import make_field
+from sidonspace.field import (
+    FieldElement,
+    find_generator,
+    make_field,
+    minimal_polynomial,
+    random_irreducibles,
+)
 from sidonspace.orbit import orbit_report, semilinear_equivalent
 from sidonspace.sidon import is_sidon_intersection
 from sidonspace.subspace import frob_image, random_subspace, scale
@@ -250,3 +259,47 @@ def test_construction_record_digest(name, seed, digest):
 def test_construction_digests_cover_every_case():
     pinned = {(name, seed) for name, seed, _ in CONSTRUCTION_DIGESTS}
     assert pinned == {(name, seed) for name in CONSTRUCTIONS for seed in (0, 1)}
+
+
+# (q, count, max_degree) -> digests at seeds 0, 1, 2 of the lists random_irreducibles returns;
+# each case draws at least one polynomial by random search, not by enumeration
+SAMPLED_IRREDUCIBLES = {
+    (2, 10, 5): ("41c95bcf609b3925c5136f3e799ce8d1f5800d1b4be79fdbac6caf2bd550f4bc",
+                 "c87f4c9716d34ce14f925bf9f0e99a11aa97d8da0362c9a0f25beb9759fe018a",
+                 "289f7a65d5f8fbaa42dc93bf68ee4fbfd67d056d374f4a06fd70b6756590b126"),
+    (3, 4, 3): ("4dc3dbc127d93067779e0e38c1e0b94c3c04799eb62f56c78a11225aa4416ac3",
+                "7b912aa833f5508566b919d6d9ed28fed17fe6fb4ebdd5671411b02db3ace06f",
+                "4dc3dbc127d93067779e0e38c1e0b94c3c04799eb62f56c78a11225aa4416ac3"),
+    (2, 3, 13): ("30edaf21676665b3894a8a5fd705995fb02089a676eea5a64ea7b8bb3b0370a7",
+                 "598d0addb4467c1e31833bf6cddc2d3f07d8dfce8ba9cf3753ad39b2c514ae96",
+                 "540812c74cb6eea677ccf0bad3f175f975970374249914b67be10dce9d76b88d"),
+    (4, 3, 2): ("3ac2c615af0773a5ca6d414b3b4075790a39ddbd1e240e7bcdf3e261ac524bfb",
+                "c170fe0bc6bc198d10cc51c62f22fd5513d3edd5fe2faf6a5317a6d3aec4ef1f",
+                "219e86cf2a7a0f0cc9c95310f07d0665dc4caf83baf3b92d6b182403b309ccf5"),
+}
+
+
+@pytest.mark.parametrize("q,count,max_degree", sorted(SAMPLED_IRREDUCIBLES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_irreducibles(q, count, max_degree, seed):
+    lists = [pl.to_list() for pl in random_irreducibles(q, count, max_degree, seed=seed)]
+    digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+    assert digest == SAMPLED_IRREDUCIBLES[(q, count, max_degree)][seed]
+
+
+# (p, a, n) -> digest of the minimal polynomials over every F_(q^m), m | n, of three
+# generators and of the subfield generator of each degree
+MINIMAL_POLYNOMIALS = {
+    (2, 2, 5): "bdac784e8d8a886b096452b4f7c43feaca74b2ac669960f33d63db55a4626196",
+    (3, 2, 2): "59d749e017ed5fb3409999c25b7ac74391e6ad63602414287d41d66aec548dd7",
+}
+
+
+@pytest.mark.parametrize("p,a,n", sorted(MINIMAL_POLYNOMIALS), ids=["F4^5", "F9^2"])
+def test_minimal_polynomial_digest(p, a, n):
+    ctx = make_field(p, a, n)
+    xs = [find_generator(ctx, seed=s) for s in range(3)]
+    xs += [FieldElement(ctx, ctx.subfield_generator(d)) for d in ctx.subfield_degrees]
+    mps = {m: [[c.coeffs for c in minimal_polynomial(x, m)] for x in xs] for m in ctx.subfield_degrees}
+    digest = hashlib.sha256(json.dumps(mps).encode()).hexdigest()
+    assert digest == MINIMAL_POLYNOMIALS[(p, a, n)]
