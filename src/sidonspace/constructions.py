@@ -368,6 +368,8 @@ def maxspan_from_irreducibles(
         polys = []
         for entry in irreducibles:
             pl = entry if isinstance(entry, gfpoly.Poly) else gfpoly.Poly.from_ints(scal, list(entry))
+            if pl.field != scal:
+                raise ConstructionError(f"supplied polynomial {pl} is over another field than F_{q}")
             if not pl.is_monic or not pl.irreducible():
                 raise ConstructionError(f"supplied polynomial {pl} is not monic irreducible")
             polys.append(pl)
@@ -469,6 +471,8 @@ def polynomial_independence_check(fs: list, gamma: FieldElement) -> bool:
             f"degree bound violated: max deg {dmax} >= deg(gamma) = {n_gamma}"
         )
     scal = fs[0].field
+    if any(pl.field != scal for pl in fs):
+        raise ValueError("polynomials live in different fields")
     width = dmax + 1
     coeffs = np.zeros((len(fs), width, scal.dim), dtype=np.int64)
     for c, pl in zip(coeffs, fs):

@@ -24,6 +24,7 @@ refuse floats, bools and elements of another field.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ from .linalg import inverse_table, mat_pow, right_nullspace, rref, square_multip
 from .numtheory import MAX_P, divisors, factorint, isprime, split_prime_power
 
 _CTX_CACHE: dict = {}
-_EMBED_CACHE: dict = {}
 
 #: Upper bound on a*n, checked before q = p^a or any table is built. The package builds
 #: at most F_7^61 (dim 61); a random F_2^128 takes about 1 s to set up, F_2^256 a minute.
@@ -491,12 +491,10 @@ class FieldElement:
         return f"elem({self.coeffs})"
 
 
+@functools.cache
 def prime_ctx(p: int) -> FieldCtx:
     """The prime field F_p as a degenerate context (modulus x)."""
-    key = ("prime", p)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = FieldCtx(p, 1, 1, np.array([0, 1], dtype=np.int64))
-    return _CTX_CACHE[key]
+    return FieldCtx(p, 1, 1, np.array([0, 1], dtype=np.int64))
 
 
 def make_field(p: int, a: int = 1, n: int = 1, modulus=None, seed: int = 0) -> FieldCtx:
@@ -575,12 +573,9 @@ def minimal_polynomial(x: FieldElement, m: int = 1) -> list[FieldElement]:
     while not (cur == x.vec).all():
         conj.append(cur)
         cur = ctx.frob_q(cur, m)
-    coeffs = [ctx.one_vec]  # little-endian, multiplying out prod (X - c)
+    coeffs = ctx.one_vec[None]  # little-endian, multiplying out prod (X - c)
     for c in conj:
-        nxt = [ctx.zero_vec] + [co.copy() for co in coeffs]
-        for i in range(len(coeffs)):
-            nxt[i] = (nxt[i] - ctx.mul(c, coeffs[i])) % ctx.p
-        coeffs = nxt
+        coeffs = gfpoly.pmul(ctx, coeffs, np.stack([-c % ctx.p, ctx.one_vec]))
     out = [FieldElement(ctx, c) for c in coeffs]
     for c in out:
         assert ctx.in_subfield(c.vec, m), "minimal polynomial coefficient outside base"
@@ -650,21 +645,11 @@ def random_irreducibles(q: int, count: int, max_degree: int, seed: int = 0) -> l
             batch = _enumerate_irreducibles(scal, d)
             order = rng.permutation(len(batch))
             got = [batch[i] for i in order]
-        else:
-            got = []
-            seen: set[bytes] = set()
-            tries = 0
-            while len(got) < take:
-                tries += 1
-                if tries > 8192 * take:
-                    raise NoSuchElementError(f"sampling stalled at degree {d}")
-                cand = gfpoly.random_monic(scal, d, rng)
-                key = cand.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if gfpoly.is_irreducible(scal, cand):
-                    got.append(gfpoly.Poly(scal, cand))
+        else:  # search hits, each kept at its first appearance, until take are distinct
+            hits: dict[gfpoly.Poly, None] = {}
+            while len(hits) < take:
+                hits[gfpoly.Poly(scal, gfpoly.irreducible_search(scal, d, rng))] = None
+            got = list(hits)
         found.extend(got[:take])
         need -= take
     assert need == 0
@@ -683,15 +668,13 @@ def _enumerate_irreducibles(scal: FieldCtx, d: int) -> list[gfpoly.Poly]:
 # -- subfield embeddings --------------------------------------------------------------------
 
 
+@functools.cache
 def subfield_embedding(small: FieldCtx, big: FieldCtx) -> np.ndarray:
     """Matrix E (small.dim x big.dim) of a field embedding small -> big.
 
     Covers the cases the package needs: ``small`` is the prime field, or
     ``small`` is a standalone copy of the base field F_q of ``big``.
     """
-    key = (hash(small), hash(big), small.modulus.tobytes(), big.modulus.tobytes())
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
     if small.p != big.p:
         raise ValueError("characteristic mismatch")
     if small.dim == 1:
@@ -715,7 +698,6 @@ def subfield_embedding(small: FieldCtx, big: FieldCtx) -> np.ndarray:
     else:
         raise ValueError("unsupported embedding request")
     E.setflags(write=False)
-    _EMBED_CACHE[key] = E
     return E
 
 

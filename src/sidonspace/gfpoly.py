@@ -163,6 +163,8 @@ class Poly:
         return self.degree >= 0 and (self.coeffs[-1] == self.field.one_vec).all()
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if other.field != self.field:
+            raise ValueError("polynomials live in different fields")
         return Poly(self.field, pmul(self.field, self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:

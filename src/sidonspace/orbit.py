@@ -24,6 +24,7 @@ from .subspace import (
     pair_intersection_dims,
     point_positions,
     quotient_pairs,
+    same_field,
     scale,
     stabilizer,
 )
@@ -33,8 +34,6 @@ _EQUIV_BUDGET = 1 << 24
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """Injection-metric style distance dim U + dim V - 2 dim(U intersect V)."""
-    if U.ctx != V.ctx:
-        raise ValueError("subspaces live in different fields")
     return U.dim + V.dim - 2 * intersect(U, V).dim
 
 
@@ -144,9 +143,7 @@ def semilinear_equivalent(
     projective points of the field; above it BudgetError is raised before
     any point is built.
     """
-    ctx = U.ctx
-    if V.ctx != ctx:
-        raise ValueError("subspaces live in different fields")
+    ctx = same_field(U, V)
     if U.dim != V.dim:
         return None
     if U.dim == 0:

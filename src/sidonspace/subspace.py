@@ -66,6 +66,7 @@ class Subspace:
         return self._sb.contains(self.ctx.element(x).vec)
 
     def contains_space(self, other: "Subspace") -> bool:
+        same_field(self, other)
         return not self._sb.reduce(other.basis).any()
 
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -127,6 +128,13 @@ class Subspace:
         return f"Subspace(dim={self.dim} over GF({self.ctx.q}) in GF({self.ctx.q}^{self.ctx.n}))"
 
 
+def same_field(U: Subspace, V: Subspace) -> FieldCtx:
+    """The field of U and V, which must be equal: the one gate of the operations on two spaces."""
+    if U.ctx != V.ctx:
+        raise ValueError("subspaces live in different fields")
+    return U.ctx
+
+
 def span(ctx: FieldCtx, gens) -> Subspace:
     """F_q-span of the given elements (or F_p coefficient rows)."""
     rows = ctx.rows(gens)
@@ -145,16 +153,12 @@ def subfield_space(ctx: FieldCtx, m: int) -> Subspace:
 
 
 def sum_spaces(U: Subspace, V: Subspace) -> Subspace:
-    if U.ctx != V.ctx:
-        raise ValueError("subspaces live in different fields")
-    return Subspace(U.ctx, np.vstack([U.basis, V.basis]))
+    return Subspace(same_field(U, V), np.vstack([U.basis, V.basis]))
 
 
 def intersect(U: Subspace, V: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked basis matrix."""
-    if U.ctx != V.ctx:
-        raise ValueError("subspaces live in different fields")
-    ctx = U.ctx
+    ctx = same_field(U, V)
     if U.is_zero() or V.is_zero():
         return span(ctx, [])
     null = left_nullspace(np.vstack([U.basis, V.basis]), ctx.p)
@@ -176,9 +180,7 @@ def frob_image(V: Subspace, j: int = 1) -> Subspace:
 
 def product(U: Subspace, V: Subspace) -> Subspace:
     """Span of all pairwise products UV (an F_q-space again)."""
-    if U.ctx != V.ctx:
-        raise ValueError("subspaces live in different fields")
-    ctx = U.ctx
+    ctx = same_field(U, V)
     return Subspace(ctx, ctx.mul_many(U.basis[:, None], V.basis).reshape(-1, ctx.dim))
 
 

@@ -360,3 +360,22 @@ def test_polynomial_independence_check_over_f4():
     # w*x + w = w*(x) + w*(1): dependent over F_4, independent over F_2
     dep = [poly([0, 0], one), poly(one), poly(w, w)]
     assert polynomial_independence_check(dep, gamma) is False
+
+
+def test_maxspan_irreducibles_refuses_polynomials_over_another_field():
+    # x^2 + x + 1 is irreducible over F_2 but splits over F_4
+    f2 = prime_ctx(2)
+    supply = [[1, 1, 1], [0, 1], [1, 1], [1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 0, 0, 1]]
+    polys = [Poly.from_ints(f2, c) for c in supply]
+    with pytest.raises(ConstructionError, match=r"supplied polynomial 1 \+ x \+ x\^2 is over another field"):
+        maxspan_from_irreducibles(4, 3, 2, irreducibles=polys)
+
+
+def test_polynomial_independence_check_refuses_mixed_fields():
+    # two seeds of F_9 with different moduli: gamma's field embeds both, differently
+    f9, g9 = make_field(3, 2, 1, seed=0), make_field(3, 2, 1, seed=1)
+    assert f9 != g9
+    gamma = find_generator(make_field(3, 2, 3))
+    fs = [Poly(f9, np.array([[0, 0], [1, 0]])), Poly(g9, np.array([[1, 0], [1, 0]]))]
+    with pytest.raises(ValueError, match="polynomials live in different fields"):
+        polynomial_independence_check(fs, gamma)

@@ -285,3 +285,9 @@ def test_poly_evaluate_in_respects_coefficients():
     g = big.element([1, 1])
     p = Poly.from_ints(F7, [2, 3, 1])
     assert p.evaluate_in(big, g) == big.element(2) + big.element(3) * g + g * g
+
+
+def test_product_refuses_a_polynomial_over_another_field():
+    f, g = Poly.from_ints(F2, [1, 1, 1]), Poly.from_ints(prime_ctx(3), [1, 0, 1])
+    with pytest.raises(ValueError, match="polynomials live in different fields"):
+        f * g

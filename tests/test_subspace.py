@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import gaussian_binomial
 from sidonspace.constructions import monomial
 from sidonspace.errors import BudgetError
-from sidonspace.field import FieldElement, find_generator, make_field
+from sidonspace.field import FieldCtx, FieldElement, find_generator, make_field
+from sidonspace.orbit import semilinear_equivalent, subspace_distance
 from sidonspace.sidon import audit_bounds
 from sidonspace.subspace import (
     Subspace,
@@ -412,3 +413,35 @@ def test_zero_and_full_edges():
     V = subfield_space(ctx, 2)
     assert intersect(V, F) == V
     assert sum_spaces(V, Z) == V
+
+
+# every operation on two spaces, each of which must refuse spaces of different fields
+TWO_SPACE_OPS = {
+    "sum_spaces": sum_spaces,
+    "intersect": intersect,
+    "product": product,
+    "contains_space": Subspace.contains_space,
+    "subspace_distance": subspace_distance,
+    "semilinear_equivalent": semilinear_equivalent,
+}
+
+
+@pytest.mark.parametrize("op", TWO_SPACE_OPS.values(), ids=TWO_SPACE_OPS)
+def test_two_space_operations_refuse_another_field(op):
+    # two seeds of F_2^9 with different moduli: equal as vector spaces, not as fields
+    ctx0, ctx1 = make_field(2, 1, 9, seed=0), make_field(2, 1, 9, seed=1)
+    assert ctx0 != ctx1
+    U = random_subspace(ctx0, 5, np.random.default_rng(0))
+    V = span(ctx1, [ctx1.one])  # a line
+    with pytest.raises(ValueError, match="^subspaces live in different fields$"):
+        op(U, V)
+
+
+@pytest.mark.parametrize("op", TWO_SPACE_OPS.values(), ids=TWO_SPACE_OPS)
+def test_two_space_operations_accept_an_equal_field(op):
+    ctx = make_field(2, 1, 9)
+    twin = FieldCtx(2, 1, 9, ctx.modulus)  # another object with the same modulus
+    assert twin is not ctx and twin == ctx
+    U = random_subspace(ctx, 3, np.random.default_rng(0))
+    V = Subspace(twin, U.basis)
+    assert op(U, V) == op(U, U)
