@@ -447,8 +447,11 @@ def stepping_powers(ctx, g) -> np.ndarray:
     return out
 
 
-# q^n - 1 = 63 = 3^2 * 7, 80 = 2^4 * 5 (digits), 63 with a = 2, and the primes 127 and 8191
-@pytest.mark.parametrize("field", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 7), (2, 1, 13)],
+# q^n - 1 = 63 = 3^2 * 7, 80 = 2^4 * 5, 63 with a = 2, the primes 127 and 8191, and the
+# prime powers of 2400 = 2^5 * 3 * 5^2, 6560 = 2^5 * 5 * 41, 4095 = 3^2 * 5 * 7 * 13 and
+# 80 with a = 2
+@pytest.mark.parametrize("field", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 7), (2, 1, 13),
+                                   (7, 1, 4), (3, 1, 8), (2, 1, 12), (3, 2, 2)],
                          ids=lambda f: "F%d^%d^%d" % f)
 def test_log_many_inverts_every_power_of_the_generator(field):
     ctx = make_field(*field)
@@ -461,18 +464,23 @@ def test_log_many_inverts_every_power_of_the_generator(field):
 
 
 def test_discrete_log_to_a_base_that_is_not_primitive():
-    ctx = make_field(3, 1, 4)
-    g = find_generator(ctx, primitive=True)
-    powers = stepping_powers(ctx, g)
-    for d in (2, 5, 8, 10, 16, 40, 80):  # the base g^d has order 80/d
-        table = DiscreteLogTable(g ** d)
-        assert table.order == 80 // d
-        assert table.log_many(powers[::d]) == list(range(80 // d))
-        if d > 1:
+    # the base g^d has order (q^n - 1)/d: in F_7^4, 2400 = 2^5 * 3 * 5^2
+    for field, ds in (((3, 1, 4), (2, 5, 8, 10, 16, 40, 80)),
+                      ((7, 1, 4), (2, 3, 5, 25, 32, 75))):
+        ctx = make_field(*field)
+        g = find_generator(ctx, primitive=True)
+        powers = stepping_powers(ctx, g)
+        o = ctx.order - 1
+        for d in ds:
+            table = DiscreteLogTable(g ** d)
+            assert table.order == o // d
+            assert table.log_many(powers[::d]) == list(range(o // d))
             with pytest.raises(ValueError, match="not a power of the base"):
                 table.log(g)
             with pytest.raises(ValueError, match="not a power of the base"):
                 table.log_many(powers[:2])
+    ctx = make_field(3, 1, 4)
+    g = find_generator(ctx, primitive=True)
     with pytest.raises(ValueError, match="zero has no discrete log"):
         DiscreteLogTable(g).log_many([g, ctx.zero])
 
