@@ -114,7 +114,7 @@ def extract_brset(
     extracted set is re-checked as a B_r-set by sum enumeration.
 
     All logs come from one :meth:`DiscreteLogTable.log_many` call, which costs about
-    sum e*(log2 N + sqrt(ell)) batched products over the prime powers ell^e || N = q^n - 1,
+    sum (log2 N + sqrt(ell^e)) batched products over the prime powers ell^e || N = q^n - 1,
     whatever the number of points.
     """
     if V.is_zero():

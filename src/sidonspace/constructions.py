@@ -99,11 +99,13 @@ class ConstructionRecord:
         }
 
 
-def is_qm1_power(ctx: FieldCtx, x: FieldElement, k: int) -> bool:
-    """Whether x is a (q-1)-th power inside F_{q^k}: zero, or of norm 1 down to F_q."""
-    if not ctx.in_subfield(x.vec, k):
+def is_qm1_power(ctx: FieldCtx, x, k: int) -> bool:
+    """Whether x (read by :meth:`FieldCtx.element`) is a (q-1)-th power inside F_{q^k}:
+    zero, or of norm 1 down to F_q."""
+    vec = ctx.element(x).vec
+    if not ctx.in_subfield(vec, k):
         raise ValueError("argument must lie in F_{q^k}")
-    return bool(_qm1_powers(ctx, x.vec[None, :], k)[0])
+    return bool(_qm1_powers(ctx, vec[None, :], k)[0])
 
 
 def _qm1_powers(ctx: FieldCtx, xs: np.ndarray, k: int) -> np.ndarray:

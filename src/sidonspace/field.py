@@ -710,11 +710,11 @@ class DiscreteLogTable:
     The base generates a cyclic group of order o dividing q^n - 1 (o = q^n - 1 for a
     primitive base), read off the cached :meth:`FieldCtx.group_factorization`. For each
     prime power ell^f exactly dividing o, :meth:`log_many` raises every row to o/ell^f in
-    one ``pow_many`` and peels off the f base-ell digits of its log, each by
-    baby-step/giant-step in the subgroup of order ell: a table of :meth:`steps` (ell)
-    baby steps, and giant steps by ``mul_many`` over the rows not yet resolved. CRT joins
-    the residues. A call costs about sum f*(log2 o + sqrt(ell)) batched products, however
-    many rows it takes; for a prime o it is plain baby-step/giant-step.
+    one ``pow_many`` and solves its log in the subgroup of order ell^f by one
+    baby-step/giant-step: a table of :meth:`steps` (ell^f) baby steps, and giant steps by
+    ``mul_many`` over the rows not yet resolved. CRT joins the residues. A call costs about
+    sum over ell^f || o of (log2 o + sqrt(ell^f)) batched products, however many rows it
+    takes; for a prime o it is plain baby-step/giant-step.
     """
 
     @staticmethod
@@ -724,6 +724,8 @@ class DiscreteLogTable:
 
     def __init__(self, base: FieldElement):
         ctx = self.ctx = base.ctx
+        if not base.vec.any():
+            raise ValueError("the base of a discrete log must be nonzero")
         self.base = base
         self.group_order = ctx.order - 1
         # the order o of the base: drop each prime from q^n - 1 while base^(o/ell) = 1
@@ -733,26 +735,23 @@ class DiscreteLogTable:
                 o //= ell
                 exps[ell] -= 1
         self.order = o
-        # per ell^f || o: baby table of gamma (order ell), gamma^-m, h^-(ell^i) for the
-        # digits (h = base^(o/ell^f), order ell^f), and the CRT coefficient
+        # per ell^f || o: the cofactor o/ell^f, the baby table of h = base^(o/ell^f)
+        # (order ell^f), the giant step h^-m and the CRT coefficient
         self._parts = []
         for ell, f in exps.items():
             if not f:
                 continue
-            h = ctx.pow_elem(base.vec, o // ell**f)
-            gamma = ctx.pow_elem(h, ell ** (f - 1))
-            m = self.steps(ell)
+            cofactor, m = o // ell**f, self.steps(ell**f)
+            h = ctx.pow_elem(base.vec, cofactor)
             baby, cur = {}, ctx.one_vec
             for j in range(m):
                 baby[cur.tobytes()] = j
-                cur = ctx.mul(cur, gamma)
-            lift = [ctx.pow_elem(h, ell**f - ell**i) for i in range(f - 1)]
-            cofactor = o // ell**f
+                cur = ctx.mul(cur, h)
             coef = cofactor * pow(cofactor, -1, ell**f)
-            self._parts.append((ell, f, baby, ctx.pow_elem(gamma, ell - m), lift, coef))
+            self._parts.append((cofactor, baby, ctx.pow_elem(h, ell**f - m), coef))
 
-    def _digits(self, Y: np.ndarray, baby: dict, giant: np.ndarray) -> np.ndarray:
-        """i*m + j for each row y of Y, with y * giant^i = gamma^j the first baby-table hit."""
+    def _bsgs(self, Y: np.ndarray, baby: dict, giant: np.ndarray) -> np.ndarray:
+        """i*m + j for each row y of Y, with y * giant^i = h^j the first baby-table hit."""
         m, out, todo = len(baby), np.empty(len(Y), dtype=np.int64), np.arange(len(Y))
         for i in range(m):
             hits = np.fromiter((baby.get(y.tobytes(), -1) for y in Y), np.int64, len(Y))
@@ -774,19 +773,8 @@ class DiscreteLogTable:
         if o < self.group_order and not (ctx.pow_many(X, o) == ctx.one_vec).all():
             raise ValueError("element is not a power of the base")
         logs = np.zeros(len(X), dtype=object)  # Python ints: o may pass int64
-        for ell, f, baby, giant, lift, coef in self._parts:
-            W = ctx.pow_many(X, o // ell**f)
-            residue = np.zeros(len(X), dtype=object)
-            for i in range(f):
-                digit = self._digits(ctx.pow_many(W, ell ** (f - 1 - i)), baby, giant)
-                residue += digit.astype(object) * ell**i
-                if i < f - 1:  # W *= h^-(digit * ell^i), one masked product per bit
-                    c = lift[i]
-                    for b in range(int(digit.max(initial=0)).bit_length()):
-                        odd = (digit >> b) & 1 == 1
-                        W[odd] = ctx.mul_many(W[odd], c)
-                        c = ctx.mul(c, c)
-            logs += residue * coef
+        for cofactor, baby, giant, coef in self._parts:
+            logs += self._bsgs(ctx.pow_many(X, cofactor), baby, giant).astype(object) * coef
         return [int(x) % o for x in logs]
 
     def log(self, x: FieldElement) -> int:

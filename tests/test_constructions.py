@@ -334,6 +334,16 @@ def test_is_qm1_power():
     assert is_qm1_power(ctx2, h, 3)  # q-1 = 1: everything qualifies
 
 
+def test_is_qm1_power_reads_every_element_form():
+    ctx = make_field(3, 1, 4)
+    # 2 = -1 has norm (-1)^(q+1) = 1 down to F_3, so it is a square in F_9
+    assert [is_qm1_power(ctx, x, 2) for x in (2, [2], ctx.element(2))] == [True] * 3
+    g = ctx.element(ctx.subfield_generator(2))
+    assert [is_qm1_power(ctx, x, 2) for x in ([int(c) for c in g.vec], g)] == [False] * 2
+    with pytest.raises(ValueError, match="different field"):
+        is_qm1_power(ctx, make_field(3, 1, 4, seed=1).element(2), 2)
+
+
 @pytest.mark.parametrize(
     "q,n,k", [(3, 12, 4), (5, 4, 2), (2, 6, 2), (4, 4, 2)], ids=["3-12-4", "5-4-2", "2-6-2", "4-4-2"]
 )

@@ -432,7 +432,7 @@ def test_discrete_log_large_field():
     table = DiscreteLogTable(g)
     assert table.log(g ** 123456) == 123456
     assert table.log(ctx.one) == 0
-    # 3^16 - 1 = 2^6 * 5 * 17 * 41 * 193: six digits for 2, one for each other prime
+    # 3^16 - 1 = 2^6 * 5 * 17 * 41 * 193: one baby-step/giant-step per prime-power part
     exps = [int(e) for e in np.random.default_rng(16).integers(0, ctx.order - 1, 200)]
     assert table.log_many(np.array([ctx.pow_elem(g.vec, e) for e in exps])) == exps
 
@@ -483,6 +483,11 @@ def test_discrete_log_to_a_base_that_is_not_primitive():
     g = find_generator(ctx, primitive=True)
     with pytest.raises(ValueError, match="zero has no discrete log"):
         DiscreteLogTable(g).log_many([g, ctx.zero])
+
+
+def test_discrete_log_refuses_a_zero_base():
+    with pytest.raises(ValueError, match="base of a discrete log must be nonzero"):
+        DiscreteLogTable(make_field(3, 1, 4).zero)
 
 
 def test_discrete_log_steps_is_the_ceiling_of_the_square_root():
